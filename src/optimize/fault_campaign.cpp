@@ -117,8 +117,8 @@ Cycle first_event_cycle(const fault::FaultPlan* plan) {
 /// untouched.
 constexpr u64 kTimeoutCheckChunk = 1u << 20;
 
-/// Boot-probe bound for prepare_warm_fork (same spirit as the
-/// evaluator's: workloads still busy after this many cycles boot cold).
+/// Boot-probe bound for prepare_warm_fork: workloads still busy after
+/// this many cycles boot cold.
 constexpr Cycle kBootProbeLimit = 65'536;
 
 }  // namespace

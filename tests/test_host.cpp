@@ -84,7 +84,10 @@ TEST(SimPool, JobsAccessors) {
 
 // ---- evaluator on the pool ------------------------------------------
 
-optimize::ArchitectureEvaluator make_evaluator(unsigned jobs) {
+// `configures`, when given, counts WorkloadCase::configure calls: one per
+// boot of a (config, case) pair.
+optimize::ArchitectureEvaluator make_evaluator(
+    unsigned jobs, std::atomic<usize>* configures = nullptr) {
   optimize::ArchitectureEvaluator eval{test::small_config()};
   eval.set_jobs(jobs);
   for (const char* name : {"lookup", "fir", "checksum", "sort"}) {
@@ -96,6 +99,9 @@ optimize::ArchitectureEvaluator make_evaluator(unsigned jobs) {
       wc.name = name;
       wc.program = std::move(program).value();
       wc.tc_entry = wc.program.entry();
+      if (configures != nullptr) {
+        wc.configure = [configures](soc::Soc&) { ++*configures; };
+      }
       eval.add_case(std::move(wc));
     }
   }
@@ -153,6 +159,20 @@ TEST(EvaluatorParallel, InteractionsIdenticalAcrossJobCounts) {
     EXPECT_EQ(serial[i].speedup_b, parallel[i].speedup_b);
     EXPECT_EQ(serial[i].speedup_both, parallel[i].speedup_both);
     EXPECT_EQ(serial[i].synergy, parallel[i].synergy);
+  }
+}
+
+TEST(EvaluatorParallel, BootsEachPairOnceAndRepeatsIdentically) {
+  const std::vector<optimize::ArchOption> catalogue = small_catalogue();
+  const usize pairs = (1 + catalogue.size()) * 4;  // configs x cases
+  for (unsigned jobs : {1u, 4u}) {
+    std::atomic<usize> configures{0};
+    const optimize::ArchitectureEvaluator eval =
+        make_evaluator(jobs, &configures);
+    const auto first = eval.evaluate(catalogue);
+    EXPECT_EQ(configures.load(), pairs) << "jobs=" << jobs;
+    expect_same_results(first, eval.evaluate(catalogue));
+    EXPECT_EQ(configures.load(), 2 * pairs) << "jobs=" << jobs;
   }
 }
 

@@ -2,6 +2,8 @@
 // (directives, labels, expressions, errors) and the symbol map.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "isa/assembler.hpp"
 #include "isa/core_regs.hpp"
 #include "isa/isa.hpp"
@@ -214,6 +216,11 @@ struct AsmError {
   const char* source;
   const char* why;
 };
+
+// Print a case as its reason. The default printer dumps the two string
+// pointers, which change from run to run under ASLR, and the printed value
+// is part of each case's test name.
+void PrintTo(const AsmError& e, std::ostream* os) { *os << e.why; }
 
 class AssemblerErrors : public ::testing::TestWithParam<AsmError> {};
 

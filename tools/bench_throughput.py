@@ -3,7 +3,9 @@
 
 Runs the bench binary, parses its `THROUGHPUT key=value` tail, derives the
 headline numbers (single-run cycles/sec with the decode cache on/off, and
-serial-vs-parallel sweep wall clock), and writes them as one JSON artifact.
+serial-vs-parallel sweep wall clock), and writes them as one JSON artifact
+with a `host` block (core count, CPU model, and the compiler and build type
+from the build tree's CMakeCache.txt) naming where the numbers come from.
 
 Checks applied:
   - the parallel sweep must be bit-identical to the serial one (always);
@@ -22,6 +24,8 @@ Usage:
 
 import argparse
 import json
+import os
+import platform
 import subprocess
 import sys
 
@@ -37,6 +41,44 @@ def parse_throughput_lines(text):
         except ValueError:
             pass
     return values
+
+
+def cmake_cache(bench):
+    """CMakeCache.txt entries of the build tree `bench` was built in
+    (the binary sits in its bench/ directory)."""
+    build_dir = os.path.dirname(os.path.dirname(os.path.abspath(bench)))
+    entries = {}
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                name, sep, value = line.rstrip("\n").partition("=")
+                if sep and not line.startswith(("#", "//")):
+                    entries[name.partition(":")[0]] = value
+    except OSError:
+        pass
+    return entries
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def host_descriptor(bench):
+    """Which host and build a run's absolute numbers belong to."""
+    cache = cmake_cache(bench)
+    return {
+        "nproc": os.cpu_count() or 0,
+        "cpu_model": cpu_model(),
+        "compiler": cache.get("CMAKE_CXX_COMPILER", ""),
+        "build_type": cache.get("CMAKE_BUILD_TYPE", ""),
+    }
 
 
 def main():
@@ -134,6 +176,7 @@ def main():
 
     report = {
         "schema": "trisim-bench-throughput/1",
+        "host": host_descriptor(args.bench),
         "single_run": {
             "cycles": int(values.get("single_run_cycles", 0)),
             "cache_on_cycles_per_second": values["single_run_cache_on_cps"],
