@@ -27,8 +27,8 @@
 namespace audo::soc {
 
 /// One enumerated frame field: which component and field it belongs to
-/// plus its value widened to u64. The enumeration order is the digest
-/// definition — every digest below hashes exactly this sequence.
+/// plus its value widened to u64. One field visitor (frame_digest.cpp)
+/// defines the order; every digest below folds exactly this sequence.
 struct FrameField {
   const char* component;  // "tc", "pcp", "sri", "flash", "dma", "safety", "irq"
   const char* field;
@@ -36,20 +36,13 @@ struct FrameField {
 };
 
 /// Enumerate every architectural field of `f` except the cycle stamp,
-/// in a fixed order. Fields are enumerated explicitly (never memcmp'd)
-/// so struct padding can never fake a match or a mismatch. The replay
-/// divergence reporter walks this same list to name the first differing
-/// component/field.
+/// in digest order. The replay divergence reporter walks this list to
+/// name the first differing component/field.
 std::vector<FrameField> enumerate_frame_fields(const mcds::ObservationFrame& f);
 
 /// FNV-1a fingerprint of one frame, cycle stamp excluded — the
 /// position-independent per-cycle value the canonical digests build on.
 u64 frame_fingerprint(const mcds::ObservationFrame& f);
-
-/// Fingerprint of one component's fields only ("tc", "sri", ...); used
-/// for the per-window component sub-digests in replay goldens.
-u64 component_fingerprint(const mcds::ObservationFrame& f,
-                          const char* component);
 
 /// Exact stream digest (includes frame.cycle). The historical test hash:
 /// attach as an observer and compare `hash`/`frames` between runs made
@@ -111,7 +104,7 @@ class WindowedFrameDigest final : public FrameObserver {
   static const char* component_name(unsigned i);
 
  private:
-  void add_run(const mcds::ObservationFrame& frame, u64 fp, u64 n);
+  void add_run(const mcds::ObservationFrame& frame, u64 n);
   void flush_run();
   void flush_window();
 

@@ -7,6 +7,7 @@
 // instead of re-booting.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,178 @@ u64 first_divergent_cycle(const std::vector<u64>& a,
     if (a[i] != b[i]) return i + 1;
   }
   return a.size() == b.size() ? 0 : n + 1;
+}
+
+// ---- pinned digest definition ------------------------------------------
+
+// A hand-built frame with every section set: each field takes the next
+// value of a seeded sequence, so no two fields (or frames) coincide.
+// `completed` and `raises` size the variable-length SRI / IRQ sections.
+mcds::ObservationFrame pinned_frame(u64 seed, unsigned completed,
+                                    unsigned raises) {
+  u64 k = seed * 1000;
+  const auto next = [&k] { return ++k * 0x9E3779B97F4A7C15ull >> 17; };
+  const auto bit = [&next] { return (next() & 1) != 0; };
+  const auto master = [&next] {
+    return static_cast<bus::MasterId>(next() % (bus::kNumMasters + 1));
+  };
+  mcds::ObservationFrame f;
+  f.cycle = next();
+  for (mcds::CoreObservation* c : {&f.tc, &f.pcp}) {
+    c->present = bit();
+    c->retired = static_cast<u8>(next() % 4);
+    c->retire_pc = static_cast<Addr>(next());
+    c->stall = static_cast<mcds::StallCause>(next() % 7);
+    c->attr.symptom = static_cast<mcds::StallCause>(next() % 7);
+    c->attr.root = static_cast<mcds::StallRootCause>(
+        next() % mcds::kNumStallRootCauses);
+    c->attr.blocking_master = master();
+    c->attr.blocking_slave = static_cast<u8>(next());
+    c->discontinuity = bit();
+    c->discontinuity_target = static_cast<Addr>(next());
+    c->irq_entry = bit();
+    c->irq_prio = static_cast<u8>(next());
+    c->irq_exit = bit();
+    c->trap_entry = bit();
+    c->trap_class = static_cast<u8>(next());
+    c->debug_marker = bit();
+    c->data_access = bit();
+    c->data_write = bit();
+    c->data_addr = static_cast<Addr>(next());
+    c->data_value = static_cast<u32>(next());
+    c->data_bytes = static_cast<u8>(next());
+    c->icache_access = bit();
+    c->icache_hit = bit();
+    c->icache_miss = bit();
+    c->dcache_access = bit();
+    c->dcache_hit = bit();
+    c->dcache_miss = bit();
+    c->dspr_access = bit();
+    c->flash_data_access = bit();
+    c->sram_data_access = bit();
+    c->periph_data_access = bit();
+  }
+  f.sri.any_grant = bit();
+  f.sri.granted_master = master();
+  f.sri.granted_slave = static_cast<unsigned>(next());
+  f.sri.granted_addr = static_cast<Addr>(next());
+  f.sri.granted_write = bit();
+  f.sri.contention = bit();
+  f.sri.waiting_masters = static_cast<unsigned>(next());
+  f.sri.error_response = bit();
+  f.sri.error_master = master();
+  f.sri.completed_count = completed;
+  for (unsigned i = 0; i < completed; ++i) {
+    bus::CompletedTransaction& t = f.sri.completed[i];
+    t.master = master();
+    t.slave = static_cast<u8>(next());
+    t.addr = static_cast<Addr>(next());
+    t.write = bit();
+    t.fetch = bit();
+    t.issued_at = next();
+    t.granted_at = next();
+  }
+  f.flash.code_access = bit();
+  f.flash.code_buffer_hit = bit();
+  f.flash.data_access = bit();
+  f.flash.data_buffer_hit = bit();
+  f.flash.array_conflict = bit();
+  f.dma.transfer = bit();
+  f.dma.channel = static_cast<u8>(next());
+  f.safety.ecc_corrected = static_cast<u8>(next());
+  f.safety.ecc_uncorrectable = static_cast<u8>(next());
+  f.safety.bus_error = bit();
+  f.safety.wdt_timeout = bit();
+  f.safety.cpu_trap = bit();
+  f.safety.alarm_irq = bit();
+  f.safety.halt_request = bit();
+  f.irq.count = static_cast<u8>(raises);
+  for (unsigned i = 0; i < raises; ++i) {
+    f.irq.raised[i].priority = static_cast<u8>(next());
+    f.irq.raised[i].target = static_cast<u8>(next() % 3);
+  }
+  return f;
+}
+
+// The constants below were computed by the frame digest as committed
+// with the replays/ goldens; any change to the field list, its order or
+// the folding breaks them (and every golden with them).
+TEST(FrameDigest, PinnedDigestsOfHandBuiltFrames) {
+  constexpr unsigned kRaises = mcds::IrqObservation::kMaxRaises;
+  const std::vector<mcds::ObservationFrame> frames = {
+      pinned_frame(1, 0, 0), pinned_frame(2, 1, kRaises),
+      pinned_frame(3, bus::kNumMasters, 0), pinned_frame(4, 1, kRaises)};
+  mcds::ObservationFrame idle;  // a quiescent frame: every strobe clear
+
+  // Per-frame fingerprint, and the reporter's field list folds to it.
+  constexpr u64 kFrameFp[] = {0xba35b6ae6b82a042ull, 0xdd4b2100be08dd1aull,
+                               0xa079dba6ca9e1621ull, 0xf8acbdcf336716afull};
+  for (usize i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(soc::frame_fingerprint(frames[i]), kFrameFp[i]) << i;
+    u64 folded = kFnvOffset;
+    for (const soc::FrameField& f : soc::enumerate_frame_fields(frames[i])) {
+      folded = fnv1a(folded, f.value);
+    }
+    EXPECT_EQ(folded, soc::frame_fingerprint(frames[i])) << i;
+  }
+  EXPECT_EQ(soc::frame_fingerprint(idle), 0xa765a911b455a7a5ull);
+
+  // Exact stream hash: cycle stamps included, one idle skip folded in.
+  soc::FrameStreamHasher stream;
+  stream.observe(frames[0]);
+  stream.observe(frames[1]);
+  idle.cycle = 77;
+  stream.skip_idle(idle, 5);
+  stream.observe(frames[2]);
+  EXPECT_EQ(stream.frames, 8u);
+  EXPECT_EQ(stream.hash, 0xd9dd75e45202ae29ull);
+
+  // Canonical windowed digest over 4-cycle windows: a two-frame run, a
+  // run split by a window boundary, and an idle skip spanning windows.
+  soc::WindowedFrameDigest digest(2);
+  const auto at = [](mcds::ObservationFrame f, Cycle cycle) {
+    f.cycle = cycle;
+    return f;
+  };
+  digest.observe(at(frames[0], 1));
+  digest.observe(at(frames[0], 2));
+  digest.observe(at(frames[1], 3));
+  digest.observe(at(frames[2], 4));
+  digest.observe(at(frames[2], 5));
+  digest.skip_idle(at(idle, 6), 6);
+  digest.observe(at(frames[3], 12));
+  const auto& windows = digest.finish();
+  EXPECT_EQ(digest.total_frames(), 12u);
+
+  struct PinnedWindow {
+    u64 index, frames, digest;
+    std::array<u64, soc::WindowedFrameDigest::kNumComponents> components;
+  };
+  const PinnedWindow kWindows[] = {
+      {0, 4, 0x3252178e7afb0d00ull,
+       {0x2632350aa72656eeull, 0xc9f34f11beb87e95ull, 0x5dcd7ce69ef3f6a0ull,
+        0x79859c8874200d5dull, 0x190eb358b0de35dcull, 0x1fbf8083443f7561ull,
+        0x9c1d81eb44a53c9eull}},
+      {1, 4, 0x1337c322a94610c9ull,
+       {0x81d080febda5a145ull, 0x407d0ebbd5e31f87ull, 0x8867d5b2c9aeeac3ull,
+        0xe5db9ad748cdc0f3ull, 0x5c736417b260bc18ull, 0x1b2ae9458eb51ce0ull,
+        0x34f72b78a9f49d67ull}},
+      {2, 4, 0xfdef384274b191fbull,
+       {0x80c4f6de390bfc93ull, 0xe36d159e115ca3d6ull, 0xb799bd04ae7601dcull,
+        0x44bef7ddfc99f2d9ull, 0x6506423328bd999dull, 0xfbb29301772b4276ull,
+        0x626847c23b865b6aull}},
+  };
+  ASSERT_EQ(windows.size(), std::size(kWindows));
+  for (usize i = 0; i < windows.size(); ++i) {
+    EXPECT_EQ(windows[i].index, kWindows[i].index) << i;
+    EXPECT_EQ(windows[i].frames, kWindows[i].frames) << i;
+    EXPECT_EQ(windows[i].digest, kWindows[i].digest) << i;
+    for (unsigned c = 0; c < soc::WindowedFrameDigest::kNumComponents; ++c) {
+      EXPECT_EQ(windows[i].components[c], kWindows[i].components[c])
+          << i << " " << soc::WindowedFrameDigest::component_name(c);
+    }
+  }
+  EXPECT_EQ(digest.stream_digest(), 0x127a19496316a899ull);
 }
 
 // ---- schema round trip and rejection ----------------------------------
