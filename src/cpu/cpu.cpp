@@ -146,25 +146,15 @@ void Cpu::try_start_fetch(Cycle now, mcds::CoreObservation& obs) {
   fetch_pc_ = pc + isa::kInstrBytes;
 }
 
+void Cpu::enqueue_fetched(Addr pc, const Instr& instr) {
+  fetch_queue_.push_back(Fetched{pc, instr, isa::reg_operands(instr)});
+}
+
 void Cpu::try_finish_fetch(Cycle now) {
   auto deliver = [&](unsigned words, auto&& read_word) {
     for (unsigned w = 0; w < words; ++w) {
       const Addr pc = fetch_addr_ + w * isa::kInstrBytes;
-      const u32 word = read_word(pc);
-      if (env_.decode_cache != nullptr) {
-        if (const Instr* hit = env_.decode_cache->lookup(pc, word)) {
-          fetch_queue_.push_back(Fetched{pc, *hit});
-          continue;
-        }
-      }
-      auto decoded = isa::decode(word);
-      Instr instr;
-      if (decoded.is_ok()) {
-        instr = decoded.value();
-      } else {
-        instr.opcode = Opcode::kHalt;  // executing garbage stops the core
-      }
-      fetch_queue_.push_back(Fetched{pc, instr});
+      enqueue_fetched(pc, isa::decode_or_halt(read_word(pc)));
     }
     fetch_state_ = FetchState::kIdle;
   };
@@ -190,10 +180,10 @@ void Cpu::try_finish_fetch(Cycle now) {
       return;
     }
     if (fetch_error) {
-      // An errored instruction fetch delivers garbage; executing it
-      // stops the core, as with any undecodable word.
+      // An errored instruction fetch delivers garbage, which executes
+      // like any undecodable word.
       ++bus_errors_;
-      fetch_queue_.push_back(Fetched{fetch_addr_, Instr{.opcode = Opcode::kHalt}});
+      enqueue_fetched(fetch_addr_, isa::kUndecodable);
       fetch_state_ = FetchState::kIdle;
       return;
     }
@@ -259,112 +249,24 @@ void Cpu::redirect(Addr target, mcds::CoreObservation& obs) {
 // --------------------------------------------------------------------------
 // Hazards.
 
-namespace {
-
-/// Collect source registers: (is_addr_reg, index) pairs, up to 3.
-struct SourceSet {
-  std::array<std::pair<bool, u8>, 3> regs;
-  unsigned count = 0;
-  void add(bool is_addr, u8 idx) { regs[count++] = {is_addr, idx}; }
-};
-
-SourceSet sources_of(const Instr& in) {
-  SourceSet s;
-  const OpInfo& info = isa::op_info(in.opcode);
-  using enum Opcode;
-  if (info.uses_rb) {
-    const bool a = in.opcode == kAdda;
-    s.add(a, in.ra);
-    s.add(a, in.rb);
-    if (in.opcode == kMac) s.add(false, in.rd);  // accumulator is a source
-    return s;
-  }
-  if (info.is_load) {
-    s.add(true, in.ra);
-    return s;
-  }
-  if (info.is_store) {
-    s.add(in.opcode == kStA, in.rd);  // value
-    s.add(true, in.ra);               // base
-    return s;
-  }
-  switch (in.opcode) {
-    case kAbs: case kAddi: case kAndi: case kOri: case kXori:
-    case kShli: case kShri: case kSari:
-      s.add(false, in.ra);
-      break;
-    case kMovAD: case kMtcr:
-      s.add(false, in.ra);
-      break;
-    case kMovDA: case kMovA: case kLea: case kJi: case kCalli:
-      s.add(true, in.ra);
-      break;
-    case kRet:
-      s.add(true, 11);
-      break;
-    case kJeq: case kJne: case kJlt: case kJge: case kJltu: case kJgeu:
-      s.add(false, in.rd);
-      s.add(false, in.ra);
-      break;
-    case kJz: case kJnz:
-      s.add(false, in.rd);
-      break;
-    case kLoop:
-      s.add(true, in.rd);
-      break;
-    default:
-      break;
-  }
-  return s;
-}
-
-/// Destination register, if any: (is_addr, index).
-std::optional<std::pair<bool, u8>> dest_of(const Instr& in) {
-  const OpInfo& info = isa::op_info(in.opcode);
-  using enum Opcode;
-  if (info.is_store) return std::nullopt;
-  if (info.uses_rb) return std::pair{in.opcode == kAdda, in.rd};
-  if (info.is_load) return std::pair{in.opcode == kLdA, in.rd};
-  switch (in.opcode) {
-    case kAbs: case kAddi: case kAndi: case kOri: case kXori:
-    case kShli: case kShri: case kSari: case kMovd: case kMovh:
-    case kMovDA: case kMfcr:
-      return std::pair{false, in.rd};
-    case kMovAD: case kMovA: case kMovha: case kLea:
-      return std::pair{true, in.rd};
-    case kLoop:
-      return std::pair{true, in.rd};
-    case kCall: case kCalli:
-      return std::pair{true, u8{11}};
-    default:
-      return std::nullopt;
-  }
-}
-
-}  // namespace
-
-bool Cpu::sources_ready(const Instr& instr, Cycle now) const {
-  const SourceSet s = sources_of(instr);
-  for (unsigned i = 0; i < s.count; ++i) {
-    const auto [is_addr, idx] = s.regs[i];
-    const Cycle ready = is_addr ? a_ready_[idx] : d_ready_[idx];
-    if (ready > now) return false;
+bool Cpu::sources_ready(const isa::RegOperands& regs, Cycle now) const {
+  for (const u8 reg : regs.src) {
+    if (reg == isa::RegOperands::kNoReg) break;
+    if (ready_at(reg) > now) return false;
   }
   return true;
 }
 
-bool Cpu::dest_blocked(const Instr& instr) const {
-  const auto dest = dest_of(instr);
-  if (!dest) return false;
-  const auto [is_addr, idx] = *dest;
-  return (is_addr ? a_ready_[idx] : d_ready_[idx]) == kFar;
+bool Cpu::dest_blocked(const isa::RegOperands& regs) const {
+  return regs.dest != isa::RegOperands::kNoReg && ready_at(regs.dest) == kFar;
 }
 
 // --------------------------------------------------------------------------
 // Data memory.
 
 std::optional<Cpu::DataRoute> Cpu::start_data_access(
-    const Instr& instr, Addr addr, Cycle now, mcds::CoreObservation& obs) {
+    const isa::Operands& o, Addr addr, Cycle now, mcds::CoreObservation& obs) {
+  const Instr& instr = o.in;
   const OpInfo& info = isa::op_info(instr.opcode);
   const bool write = info.is_store;
 
@@ -394,14 +296,8 @@ std::optional<Cpu::DataRoute> Cpu::start_data_access(
   req.master = config_.data_master;
   req.addr = addr;
   req.kind = write ? bus::AccessKind::kWrite : bus::AccessKind::kRead;
-  switch (instr.opcode) {
-    case Opcode::kLdB: case Opcode::kStB: req.bytes = 1; break;
-    case Opcode::kLdH: case Opcode::kStH: req.bytes = 2; break;
-    default: req.bytes = 4; break;
-  }
-  if (write) {
-    req.wdata = instr.opcode == Opcode::kStA ? a_[instr.rd] : d_[instr.rd];
-  }
+  req.bytes = static_cast<u8>(isa::access_bytes(instr.opcode));
+  if (write) req.wdata = isa::store_value(o);
   // Classify the target for the event strobes.
   if (env_.flash != nullptr && mem::is_pflash(addr, env_.flash_size)) {
     obs.flash_data_access = true;
@@ -423,16 +319,6 @@ std::optional<Cpu::DataRoute> Cpu::start_data_access(
   return DataRoute::kBus;
 }
 
-namespace {
-u32 extend_loaded(Opcode op, u32 raw) {
-  switch (op) {
-    case Opcode::kLdB: return static_cast<u32>(static_cast<i32>(static_cast<i8>(raw)));
-    case Opcode::kLdH: return static_cast<u32>(static_cast<i32>(static_cast<i16>(raw)));
-    default: return raw;
-  }
-}
-}  // namespace
-
 void Cpu::finish_bus_data(Cycle now, mcds::CoreObservation& obs) {
   if (!data_port_.done()) return;
   const bus::BusRequest req = data_port_.request();
@@ -448,14 +334,8 @@ void Cpu::finish_bus_data(Cycle now, mcds::CoreObservation& obs) {
   const Instr& in = pending_load_instr_;
   // An errored load completes read-as-zero; detection is the safety
   // monitor's job (it sees the fabric's error-response strobe).
-  const u32 value = bus_error ? 0 : extend_loaded(in.opcode, raw);
-  if (in.opcode == Opcode::kLdA) {
-    a_[in.rd] = value;
-    a_ready_[in.rd] = now + 1;
-  } else {
-    d_[in.rd] = value;
-    d_ready_[in.rd] = now + 1;
-  }
+  const u32 value = bus_error ? 0 : isa::extend_loaded(in.opcode, raw);
+  write_reg(isa::reg_operands(in).dest, value, now + 1);
   // The load's data-trace record is emitted at completion (when the value
   // exists); local/cached accesses record at issue.
   obs.data_access = true;
@@ -520,35 +400,23 @@ bool Cpu::execute(const Fetched& f, Cycle now, mcds::CoreObservation& obs,
                   StallCause& stall) {
   const Instr& in = f.instr;
   const OpInfo& info = isa::op_info(in.opcode);
+  const isa::Operands o = operands(in, f.pc);
   using enum Opcode;
 
   next_pc_ = f.pc + isa::kInstrBytes;
-  const Addr branch_target =
-      f.pc + isa::kInstrBytes + static_cast<Addr>(in.imm * 4);
-
-  auto set_d = [&](u8 r, u32 v) {
-    d_[r] = v;
-    d_ready_[r] = now + info.result_latency;
-  };
-  auto set_a = [&](u8 r, u32 v) {
-    a_[r] = v;
-    a_ready_[r] = now + info.result_latency;
-  };
 
   // Memory operations may fail structurally; resolve them first.
   if (info.is_load || info.is_store) {
-    const Addr addr = a_[in.ra] + static_cast<Addr>(in.imm);
-    const auto route = start_data_access(in, addr, now, obs);
+    const Addr addr = isa::effective_address(o);
+    const auto route = start_data_access(o, addr, now, obs);
     if (!route) {
       stall = StallCause::kLsPortBusy;
       return false;
     }
-    unsigned bytes = 4;
-    if (in.opcode == kLdB || in.opcode == kStB) bytes = 1;
-    if (in.opcode == kLdH || in.opcode == kStH) bytes = 2;
+    const unsigned bytes = isa::access_bytes(in.opcode);
 
     if (info.is_store) {
-      const u32 value = in.opcode == kStA ? a_[in.rd] : d_[in.rd];
+      const u32 value = isa::store_value(o);
       if (*route == DataRoute::kSpr && env_.data_spr != nullptr &&
           env_.data_spr->contains(addr)) {
         env_.data_spr->write(addr, value, bytes);
@@ -562,35 +430,34 @@ bool Cpu::execute(const Fetched& f, Cycle now, mcds::CoreObservation& obs,
       return true;
     }
     // Loads.
-    switch (*route) {
-      case DataRoute::kSpr: {
-        u32 raw = 0;
-        if (env_.data_spr != nullptr && env_.data_spr->contains(addr)) {
-          raw = env_.data_spr->read(addr, bytes);
-        }
-        const u32 value = extend_loaded(in.opcode, raw);
-        if (in.opcode == kLdA) set_a(in.rd, value); else set_d(in.rd, value);
-        obs.data_access = true;
-        obs.data_addr = addr;
-        obs.data_value = value;
-        obs.data_bytes = static_cast<u8>(bytes);
-        break;
-      }
-      case DataRoute::kCachedFlashHit: {
-        const u32 raw = env_.flash->read(mem::pflash_offset(addr), bytes);
-        const u32 value = extend_loaded(in.opcode, raw);
-        if (in.opcode == kLdA) set_a(in.rd, value); else set_d(in.rd, value);
-        obs.data_access = true;
-        obs.data_addr = addr;
-        obs.data_value = value;
-        obs.data_bytes = static_cast<u8>(bytes);
-        break;
-      }
-      case DataRoute::kBus:
-        if (in.opcode == kLdA) a_ready_[in.rd] = kFar;
-        else d_ready_[in.rd] = kFar;
-        break;
+    if (*route == DataRoute::kBus) {
+      set_ready(f.regs.dest, kFar);  // written by finish_bus_data()
+      return true;
     }
+    u32 raw = 0;
+    if (*route == DataRoute::kCachedFlashHit) {
+      raw = env_.flash->read(mem::pflash_offset(addr), bytes);
+    } else if (env_.data_spr != nullptr && env_.data_spr->contains(addr)) {
+      raw = env_.data_spr->read(addr, bytes);
+    }
+    const u32 value = isa::extend_loaded(in.opcode, raw);
+    write_reg(f.regs.dest, value, now + info.result_latency);
+    obs.data_access = true;
+    obs.data_addr = addr;
+    obs.data_value = value;
+    obs.data_bytes = static_cast<u8>(bytes);
+    return true;
+  }
+
+  if (info.pipe != Pipe::kSys) {
+    // IP, LS register and LP ops (isa/semantics.hpp); the superblock
+    // commit table runs the same sequence.
+    const bool taken = info.is_branch && isa::branch_taken(in.opcode, o);
+    if (f.regs.dest != isa::RegOperands::kNoReg) {
+      write_reg(f.regs.dest, isa::result(in.opcode, o),
+                now + info.result_latency);
+    }
+    if (taken) redirect(isa::branch_target(in.opcode, o), obs);
     return true;
   }
 
@@ -621,106 +488,13 @@ bool Cpu::execute(const Fetched& f, Cycle now, mcds::CoreObservation& obs,
       redirect(ret_pc, obs);
       break;
     }
-    case kMfcr: set_d(in.rd, read_cr(static_cast<u16>(in.imm))); break;
+    case kMfcr:
+      write_reg(f.regs.dest, read_cr(static_cast<u16>(in.imm)),
+                now + info.result_latency);
+      break;
     case kMtcr: write_cr(static_cast<u16>(in.imm), d_[in.ra]); break;
-
-    case kAdd: set_d(in.rd, d_[in.ra] + d_[in.rb]); break;
-    case kSub: set_d(in.rd, d_[in.ra] - d_[in.rb]); break;
-    case kAnd: set_d(in.rd, d_[in.ra] & d_[in.rb]); break;
-    case kOr:  set_d(in.rd, d_[in.ra] | d_[in.rb]); break;
-    case kXor: set_d(in.rd, d_[in.ra] ^ d_[in.rb]); break;
-    case kShl: set_d(in.rd, d_[in.ra] << (d_[in.rb] & 31)); break;
-    case kShr: set_d(in.rd, d_[in.ra] >> (d_[in.rb] & 31)); break;
-    case kSar:
-      set_d(in.rd, static_cast<u32>(static_cast<i32>(d_[in.ra]) >>
-                                    (d_[in.rb] & 31)));
-      break;
-    case kMul: set_d(in.rd, d_[in.ra] * d_[in.rb]); break;
-    case kMac: set_d(in.rd, d_[in.rd] + d_[in.ra] * d_[in.rb]); break;
-    case kDiv: {
-      const i32 den = static_cast<i32>(d_[in.rb]);
-      const i32 num = static_cast<i32>(d_[in.ra]);
-      // Hardware-defined corner cases: /0 -> all ones; INT_MIN/-1 wraps.
-      if (den == 0) {
-        set_d(in.rd, 0xFFFFFFFF);
-      } else if (den == -1) {
-        set_d(in.rd, 0u - d_[in.ra]);
-      } else {
-        set_d(in.rd, static_cast<u32>(num / den));
-      }
-      break;
-    }
-    case kMin:
-      set_d(in.rd, static_cast<i32>(d_[in.ra]) < static_cast<i32>(d_[in.rb])
-                       ? d_[in.ra] : d_[in.rb]);
-      break;
-    case kMax:
-      set_d(in.rd, static_cast<i32>(d_[in.ra]) > static_cast<i32>(d_[in.rb])
-                       ? d_[in.ra] : d_[in.rb]);
-      break;
-    case kAbs: {
-      const i32 v = static_cast<i32>(d_[in.ra]);
-      set_d(in.rd, static_cast<u32>(v < 0 ? -v : v));
-      break;
-    }
-    case kAddi: set_d(in.rd, d_[in.ra] + static_cast<u32>(in.imm)); break;
-    case kAndi: set_d(in.rd, d_[in.ra] & (static_cast<u32>(in.imm) & 0xFFFF)); break;
-    case kOri:  set_d(in.rd, d_[in.ra] | (static_cast<u32>(in.imm) & 0xFFFF)); break;
-    case kXori: set_d(in.rd, d_[in.ra] ^ (static_cast<u32>(in.imm) & 0xFFFF)); break;
-    case kShli: set_d(in.rd, d_[in.ra] << (in.imm & 31)); break;
-    case kShri: set_d(in.rd, d_[in.ra] >> (in.imm & 31)); break;
-    case kSari:
-      set_d(in.rd, static_cast<u32>(static_cast<i32>(d_[in.ra]) >> (in.imm & 31)));
-      break;
-    case kMovd: set_d(in.rd, static_cast<u32>(in.imm)); break;
-    case kMovh: set_d(in.rd, (static_cast<u32>(in.imm) & 0xFFFF) << 16); break;
-    case kMovDA: set_d(in.rd, a_[in.ra]); break;
-
-    case kMovAD: set_a(in.rd, d_[in.ra]); break;
-    case kMovA: set_a(in.rd, a_[in.ra]); break;
-    case kAdda: set_a(in.rd, a_[in.ra] + a_[in.rb]); break;
-    case kMovha: set_a(in.rd, (static_cast<u32>(in.imm) & 0xFFFF) << 16); break;
-    case kLea: set_a(in.rd, a_[in.ra] + static_cast<u32>(in.imm)); break;
-
-    case kJ: redirect(branch_target, obs); break;
-    case kJi: redirect(a_[in.ra], obs); break;
-    case kCall:
-      set_a(11, f.pc + isa::kInstrBytes);
-      redirect(branch_target, obs);
-      break;
-    case kCalli:
-      set_a(11, f.pc + isa::kInstrBytes);
-      redirect(a_[in.ra], obs);
-      break;
-    case kRet: redirect(a_[11], obs); break;
-
-    case kJeq: if (d_[in.rd] == d_[in.ra]) redirect(branch_target, obs); break;
-    case kJne: if (d_[in.rd] != d_[in.ra]) redirect(branch_target, obs); break;
-    case kJlt:
-      if (static_cast<i32>(d_[in.rd]) < static_cast<i32>(d_[in.ra])) {
-        redirect(branch_target, obs);
-      }
-      break;
-    case kJge:
-      if (static_cast<i32>(d_[in.rd]) >= static_cast<i32>(d_[in.ra])) {
-        redirect(branch_target, obs);
-      }
-      break;
-    case kJltu: if (d_[in.rd] < d_[in.ra]) redirect(branch_target, obs); break;
-    case kJgeu: if (d_[in.rd] >= d_[in.ra]) redirect(branch_target, obs); break;
-    case kJz: if (d_[in.rd] == 0) redirect(branch_target, obs); break;
-    case kJnz: if (d_[in.rd] != 0) redirect(branch_target, obs); break;
-    case kLoop:
-      a_[in.rd] -= 1;
-      a_ready_[in.rd] = now + 1;
-      if (a_[in.rd] != 0) redirect(branch_target, obs);
-      break;
-
-    default:
-      halted_ = true;
-      break;
+    default: break;
   }
-  (void)stall;
   return true;
 }
 
@@ -814,21 +588,18 @@ void Cpu::step(Cycle now, mcds::CoreObservation& obs) {
     }
     if (slot != nullptr && *slot) break;  // pipe slot taken: group full
 
-    if (!sources_ready(f.instr, now)) {
+    if (!sources_ready(f.regs, now)) {
       if (issued == 0) {
         // Distinguish waiting-on-load from multi-cycle execution.
         stall = StallCause::kExecLatency;
-        const SourceSet s = sources_of(f.instr);
-        for (unsigned i = 0; i < s.count; ++i) {
-          const auto [is_addr, idx] = s.regs[i];
-          if ((is_addr ? a_ready_[idx] : d_ready_[idx]) == kFar) {
-            stall = StallCause::kLoadUse;
-          }
+        for (const u8 reg : f.regs.src) {
+          if (reg == isa::RegOperands::kNoReg) break;
+          if (ready_at(reg) == kFar) stall = StallCause::kLoadUse;
         }
       }
       break;
     }
-    if (dest_blocked(f.instr)) {
+    if (dest_blocked(f.regs)) {
       if (issued == 0) stall = StallCause::kLoadUse;
       break;
     }

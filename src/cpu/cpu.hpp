@@ -28,8 +28,8 @@
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "isa/core_regs.hpp"
-#include "isa/decode_cache.hpp"
 #include "isa/isa.hpp"
+#include "isa/semantics.hpp"
 #include "isa/superblock.hpp"
 #include "mcds/observation.hpp"
 #include "mem/mem_array.hpp"
@@ -97,9 +97,6 @@ class Cpu {
     mem::MemArray* flash = nullptr;
     u32 flash_size = 0;
     IrqSource* irq = nullptr;
-    /// Predecoded program image (host acceleration; see
-    /// isa/decode_cache.hpp). Null falls back to isa::decode per word.
-    const isa::DecodeCache* decode_cache = nullptr;
     /// Superblock cache for the fast execution tier (see
     /// isa/superblock.hpp). Null disables fast_enter().
     isa::SuperblockCache* superblocks = nullptr;
@@ -236,11 +233,12 @@ class Cpu {
   bool fetch_on_bus() const { return fetch_state_ == FetchState::kBusWait; }
 
  private:
-  friend struct FastExec;  // per-opcode commit functors (cpu_fast.cpp)
+  friend struct FastExec;  // per-opcode commit table (cpu_fast.cpp)
 
   struct Fetched {
     Addr pc;
     isa::Instr instr;
+    isa::RegOperands regs;  // isa::reg_operands(instr)
   };
 
   /// Planned data access for one fast cycle (phase A resolves the route;
@@ -267,14 +265,33 @@ class Cpu {
   // -- fetch machinery -------------------------------------------------
   void try_start_fetch(Cycle now, mcds::CoreObservation& obs);
   void try_finish_fetch(Cycle now);
+  void enqueue_fetched(Addr pc, const isa::Instr& instr);
   void flush_fetch();
   bool addr_in_cached_flash(Addr addr) const;
 
   // -- issue machinery -------------------------------------------------
   void take_interrupt(u8 prio, Cycle now, mcds::CoreObservation& obs);
   void take_trap(mcds::CoreObservation& obs);
-  bool sources_ready(const isa::Instr& instr, Cycle now) const;
-  bool dest_blocked(const isa::Instr& instr) const;
+  // Register access by isa::RegOperands entry (file bit + index).
+  static bool is_addr_reg(u8 reg) {
+    return (reg & isa::RegOperands::kAddrFile) != 0;
+  }
+  Cycle ready_at(u8 reg) const {
+    return is_addr_reg(reg) ? a_ready_[reg & 0xF] : d_ready_[reg & 0xF];
+  }
+  void set_ready(u8 reg, Cycle ready) {
+    (is_addr_reg(reg) ? a_ready_ : d_ready_)[reg & 0xF] = ready;
+  }
+  /// Write `value`, forwardable from cycle `ready`.
+  void write_reg(u8 reg, u32 value, Cycle ready) {
+    (is_addr_reg(reg) ? a_ : d_)[reg & 0xF] = value;
+    set_ready(reg, ready);
+  }
+  isa::Operands operands(const isa::Instr& in, Addr pc) const {
+    return isa::Operands{d_.data(), a_.data(), in, pc};
+  }
+  bool sources_ready(const isa::RegOperands& regs, Cycle now) const;
+  bool dest_blocked(const isa::RegOperands& regs) const;
   /// Execute one instruction; returns false if it could not start
   /// (structural hazard) and sets `stall`.
   bool execute(const Fetched& f, Cycle now, mcds::CoreObservation& obs,
@@ -287,7 +304,7 @@ class Cpu {
   enum class DataRoute : u8 { kSpr, kCachedFlashHit, kBus };
   /// Start a data access; returns the route taken or nullopt on a
   /// structural hazard (bus port busy).
-  std::optional<DataRoute> start_data_access(const isa::Instr& instr,
+  std::optional<DataRoute> start_data_access(const isa::Operands& o,
                                              Addr addr, Cycle now,
                                              mcds::CoreObservation& obs);
   void finish_bus_data(Cycle now, mcds::CoreObservation& obs);

@@ -20,6 +20,7 @@
 // no fault hooks. The owning Soc guarantees those invariants before
 // opening a window and bounds it by the next peripheral activity cycle.
 #include <cassert>
+#include <utility>
 
 #include "cpu/cpu.hpp"
 #include "mem/memory_map.hpp"
@@ -30,17 +31,6 @@ using isa::Opcode;
 using isa::Pipe;
 using isa::SuperOp;
 using mcds::StallCause;
-
-namespace {
-// Mirror of the (file-local) helper in cpu.cpp.
-u32 extend_loaded(Opcode op, u32 raw) {
-  switch (op) {
-    case Opcode::kLdB: return static_cast<u32>(static_cast<i32>(static_cast<i8>(raw)));
-    case Opcode::kLdH: return static_cast<u32>(static_cast<i32>(static_cast<i16>(raw)));
-    default: return raw;
-  }
-}
-}  // namespace
 
 const char* to_string(FastBail bail) {
   switch (bail) {
@@ -63,26 +53,17 @@ const char* to_string(FastBail bail) {
 }
 
 // --------------------------------------------------------------------------
-// Per-opcode commit functors. Each mirrors the corresponding case of
-// Cpu::execute() exactly (values, scoreboard deadlines, observation
-// strobes, redirect behaviour).
+// Commit table: one entry per opcode, each a per-kind commit instantiated
+// for that opcode, so the isa/semantics.hpp switches fold to one case.
+// The sequences are those of Cpu::execute() (values, scoreboard
+// deadlines, observation strobes, redirect behaviour); only the data
+// route differs, because the plan admits just the scratchpad and D-cache
+// hits.
 
 struct FastExec {
   using Obs = mcds::CoreObservation;
   using Mem = Cpu::FastMemPlan;
   using Fn = void (*)(Cpu&, const SuperOp&, Addr, Cycle, Obs&, const Mem&);
-
-  static void sd(Cpu& c, const SuperOp& op, u8 r, u32 v, Cycle now) {
-    c.d_[r] = v;
-    c.d_ready_[r] = now + op.latency;
-  }
-  static void sa(Cpu& c, const SuperOp& op, u8 r, u32 v, Cycle now) {
-    c.a_[r] = v;
-    c.a_ready_[r] = now + op.latency;
-  }
-  static Addr disp_target(const SuperOp& op, Addr pc) {
-    return pc + isa::kInstrBytes + static_cast<Addr>(op.instr.imm * 4);
-  }
 
   static void unreachable(Cpu&, const SuperOp&, Addr, Cycle, Obs&,
                           const Mem&) {
@@ -91,150 +72,30 @@ struct FastExec {
 
   static void nop(Cpu&, const SuperOp&, Addr, Cycle, Obs&, const Mem&) {}
 
-  // -- IP pipe ---------------------------------------------------------
-  static void add(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] + c.d_[in.rb], now);
+  /// IP and LS register ops: write the result.
+  template <Opcode Op>
+  static void alu(Cpu& c, const SuperOp& op, Addr pc, Cycle now, Obs&,
+                  const Mem&) {
+    c.write_reg(op.regs.dest, isa::result(Op, c.operands(op.instr, pc)),
+                now + op.latency);
   }
-  static void sub(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] - c.d_[in.rb], now);
-  }
-  static void and_(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] & c.d_[in.rb], now);
-  }
-  static void or_(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] | c.d_[in.rb], now);
-  }
-  static void xor_(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] ^ c.d_[in.rb], now);
-  }
-  static void shl(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] << (c.d_[in.rb] & 31), now);
-  }
-  static void shr(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] >> (c.d_[in.rb] & 31), now);
-  }
-  static void sar(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd,
-       static_cast<u32>(static_cast<i32>(c.d_[in.ra]) >> (c.d_[in.rb] & 31)),
-       now);
-  }
-  static void mul(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] * c.d_[in.rb], now);
-  }
-  static void mac(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.rd] + c.d_[in.ra] * c.d_[in.rb], now);
-  }
-  static void div(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    const i32 den = static_cast<i32>(c.d_[in.rb]);
-    const i32 num = static_cast<i32>(c.d_[in.ra]);
-    if (den == 0) {
-      sd(c, op, in.rd, 0xFFFFFFFF, now);
-    } else if (den == -1) {
-      sd(c, op, in.rd, 0u - c.d_[in.ra], now);
-    } else {
-      sd(c, op, in.rd, static_cast<u32>(num / den), now);
+
+  /// LP ops: as the default case of Cpu::execute().
+  template <Opcode Op>
+  static void branch(Cpu& c, const SuperOp& op, Addr pc, Cycle now, Obs& obs,
+                     const Mem&) {
+    const isa::Operands o = c.operands(op.instr, pc);
+    const bool taken = isa::branch_taken(Op, o);
+    if (op.regs.dest != isa::RegOperands::kNoReg) {
+      c.write_reg(op.regs.dest, isa::result(Op, o), now + op.latency);
     }
-  }
-  static void min(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd,
-       static_cast<i32>(c.d_[in.ra]) < static_cast<i32>(c.d_[in.rb])
-           ? c.d_[in.ra] : c.d_[in.rb],
-       now);
-  }
-  static void max(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd,
-       static_cast<i32>(c.d_[in.ra]) > static_cast<i32>(c.d_[in.rb])
-           ? c.d_[in.ra] : c.d_[in.rb],
-       now);
-  }
-  static void abs(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    const i32 v = static_cast<i32>(c.d_[in.ra]);
-    sd(c, op, in.rd, static_cast<u32>(v < 0 ? -v : v), now);
-  }
-  static void addi(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] + static_cast<u32>(in.imm), now);
-  }
-  static void andi(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] & (static_cast<u32>(in.imm) & 0xFFFF), now);
-  }
-  static void ori(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] | (static_cast<u32>(in.imm) & 0xFFFF), now);
-  }
-  static void xori(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] ^ (static_cast<u32>(in.imm) & 0xFFFF), now);
-  }
-  static void shli(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] << (in.imm & 31), now);
-  }
-  static void shri(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd, c.d_[in.ra] >> (in.imm & 31), now);
-  }
-  static void sari(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sd(c, op, in.rd,
-       static_cast<u32>(static_cast<i32>(c.d_[in.ra]) >> (in.imm & 31)), now);
-  }
-  static void movd(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    sd(c, op, op.instr.rd, static_cast<u32>(op.instr.imm), now);
-  }
-  static void movh(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    sd(c, op, op.instr.rd, (static_cast<u32>(op.instr.imm) & 0xFFFF) << 16,
-       now);
-  }
-  static void mov_da(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    sd(c, op, op.instr.rd, c.a_[op.instr.ra], now);
+    if (taken) c.redirect(isa::branch_target(Op, o), obs);
   }
 
-  // -- LS pipe: address-register ALU ------------------------------------
-  static void mov_ad(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    sa(c, op, op.instr.rd, c.d_[op.instr.ra], now);
-  }
-  static void mov_a(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    sa(c, op, op.instr.rd, c.a_[op.instr.ra], now);
-  }
-  static void movha(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    sa(c, op, op.instr.rd, (static_cast<u32>(op.instr.imm) & 0xFFFF) << 16,
-       now);
-  }
-  static void lea(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sa(c, op, in.rd, c.a_[in.ra] + static_cast<u32>(in.imm), now);
-  }
-  static void adda(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs&, const Mem&) {
-    const auto& in = op.instr;
-    sa(c, op, in.rd, c.a_[in.ra] + c.a_[in.rb], now);
-  }
-
-  // -- LS pipe: memory --------------------------------------------------
-  static unsigned mem_bytes(Opcode op) {
-    if (op == Opcode::kLdB || op == Opcode::kStB) return 1;
-    if (op == Opcode::kLdH || op == Opcode::kStH) return 2;
-    return 4;
-  }
+  template <Opcode Op>
   static void load(Cpu& c, const SuperOp& op, Addr, Cycle now, Obs& obs,
                    const Mem& mem) {
-    const auto& in = op.instr;
-    const unsigned bytes = mem_bytes(in.opcode);
+    constexpr unsigned bytes = isa::access_bytes(Op);
     u32 raw;
     if (mem.flash_hit) {
       obs.dcache_access = true;
@@ -247,22 +108,19 @@ struct FastExec {
       obs.dspr_access = true;
       raw = c.env_.data_spr->read(mem.addr, bytes);
     }
-    const u32 value = extend_loaded(in.opcode, raw);
-    if (in.opcode == Opcode::kLdA) {
-      sa(c, op, in.rd, value, now);
-    } else {
-      sd(c, op, in.rd, value, now);
-    }
+    const u32 value = isa::extend_loaded(Op, raw);
+    c.write_reg(op.regs.dest, value, now + op.latency);
     obs.data_access = true;
     obs.data_addr = mem.addr;
     obs.data_value = value;
     obs.data_bytes = static_cast<u8>(bytes);
   }
-  static void store(Cpu& c, const SuperOp& op, Addr, Cycle, Obs& obs,
+
+  template <Opcode Op>
+  static void store(Cpu& c, const SuperOp& op, Addr pc, Cycle, Obs& obs,
                     const Mem& mem) {
-    const auto& in = op.instr;
-    const unsigned bytes = mem_bytes(in.opcode);
-    const u32 value = in.opcode == Opcode::kStA ? c.a_[in.rd] : c.d_[in.rd];
+    constexpr unsigned bytes = isa::access_bytes(Op);
+    const u32 value = isa::store_value(c.operands(op.instr, pc));
     obs.dspr_access = true;  // plan admits only the scratchpad route
     c.env_.data_spr->write(mem.addr, value, bytes);
     obs.data_access = true;
@@ -272,135 +130,34 @@ struct FastExec {
     obs.data_bytes = static_cast<u8>(bytes);
   }
 
-  // -- LP pipe ----------------------------------------------------------
-  static void j(Cpu& c, const SuperOp& op, Addr pc, Cycle, Obs& obs, const Mem&) {
-    c.redirect(disp_target(op, pc), obs);
-  }
-  static void ji(Cpu& c, const SuperOp& op, Addr, Cycle, Obs& obs, const Mem&) {
-    c.redirect(c.a_[op.instr.ra], obs);
-  }
-  static void call(Cpu& c, const SuperOp& op, Addr pc, Cycle now, Obs& obs,
-                   const Mem&) {
-    sa(c, op, 11, pc + isa::kInstrBytes, now);
-    c.redirect(disp_target(op, pc), obs);
-  }
-  static void calli(Cpu& c, const SuperOp& op, Addr pc, Cycle now, Obs& obs,
-                    const Mem&) {
-    sa(c, op, 11, pc + isa::kInstrBytes, now);
-    c.redirect(c.a_[op.instr.ra], obs);
-  }
-  static void ret(Cpu& c, const SuperOp& op, Addr, Cycle, Obs& obs, const Mem&) {
-    (void)op;
-    c.redirect(c.a_[11], obs);
-  }
-  static void jeq(Cpu& c, const SuperOp& op, Addr pc, Cycle, Obs& obs, const Mem&) {
-    const auto& in = op.instr;
-    if (c.d_[in.rd] == c.d_[in.ra]) c.redirect(disp_target(op, pc), obs);
-  }
-  static void jne(Cpu& c, const SuperOp& op, Addr pc, Cycle, Obs& obs, const Mem&) {
-    const auto& in = op.instr;
-    if (c.d_[in.rd] != c.d_[in.ra]) c.redirect(disp_target(op, pc), obs);
-  }
-  static void jlt(Cpu& c, const SuperOp& op, Addr pc, Cycle, Obs& obs, const Mem&) {
-    const auto& in = op.instr;
-    if (static_cast<i32>(c.d_[in.rd]) < static_cast<i32>(c.d_[in.ra])) {
-      c.redirect(disp_target(op, pc), obs);
+  template <Opcode Op>
+  static constexpr Fn commit_for() {
+    constexpr isa::OpInfo info = isa::op_info(Op);
+    if constexpr (info.pipe == Pipe::kSys) {
+      // Every SYS op but NOP is kBail-flagged and never dispatched.
+      return Op == Opcode::kNop ? &nop : &unreachable;
+    } else if constexpr (info.is_load) {
+      return &load<Op>;
+    } else if constexpr (info.is_store) {
+      return &store<Op>;
+    } else if constexpr (info.is_branch) {
+      return &branch<Op>;
+    } else {
+      return &alu<Op>;
     }
-  }
-  static void jge(Cpu& c, const SuperOp& op, Addr pc, Cycle, Obs& obs, const Mem&) {
-    const auto& in = op.instr;
-    if (static_cast<i32>(c.d_[in.rd]) >= static_cast<i32>(c.d_[in.ra])) {
-      c.redirect(disp_target(op, pc), obs);
-    }
-  }
-  static void jltu(Cpu& c, const SuperOp& op, Addr pc, Cycle, Obs& obs, const Mem&) {
-    const auto& in = op.instr;
-    if (c.d_[in.rd] < c.d_[in.ra]) c.redirect(disp_target(op, pc), obs);
-  }
-  static void jgeu(Cpu& c, const SuperOp& op, Addr pc, Cycle, Obs& obs, const Mem&) {
-    const auto& in = op.instr;
-    if (c.d_[in.rd] >= c.d_[in.ra]) c.redirect(disp_target(op, pc), obs);
-  }
-  static void jz(Cpu& c, const SuperOp& op, Addr pc, Cycle, Obs& obs, const Mem&) {
-    if (c.d_[op.instr.rd] == 0) c.redirect(disp_target(op, pc), obs);
-  }
-  static void jnz(Cpu& c, const SuperOp& op, Addr pc, Cycle, Obs& obs, const Mem&) {
-    if (c.d_[op.instr.rd] != 0) c.redirect(disp_target(op, pc), obs);
-  }
-  static void loop(Cpu& c, const SuperOp& op, Addr pc, Cycle now, Obs& obs,
-                   const Mem&) {
-    const auto& in = op.instr;
-    c.a_[in.rd] -= 1;
-    c.a_ready_[in.rd] = now + 1;
-    if (c.a_[in.rd] != 0) c.redirect(disp_target(op, pc), obs);
   }
 
-  static std::array<Fn, isa::kNumOpcodes> make_table() {
-    std::array<Fn, isa::kNumOpcodes> t{};
-    t.fill(&unreachable);
-    const auto set = [&t](Opcode op, Fn fn) {
-      t[static_cast<usize>(op)] = fn;
-    };
-    set(Opcode::kNop, &nop);
-    set(Opcode::kAdd, &add);
-    set(Opcode::kSub, &sub);
-    set(Opcode::kAnd, &and_);
-    set(Opcode::kOr, &or_);
-    set(Opcode::kXor, &xor_);
-    set(Opcode::kShl, &shl);
-    set(Opcode::kShr, &shr);
-    set(Opcode::kSar, &sar);
-    set(Opcode::kMul, &mul);
-    set(Opcode::kMac, &mac);
-    set(Opcode::kDiv, &div);
-    set(Opcode::kMin, &min);
-    set(Opcode::kMax, &max);
-    set(Opcode::kAbs, &abs);
-    set(Opcode::kAddi, &addi);
-    set(Opcode::kAndi, &andi);
-    set(Opcode::kOri, &ori);
-    set(Opcode::kXori, &xori);
-    set(Opcode::kShli, &shli);
-    set(Opcode::kShri, &shri);
-    set(Opcode::kSari, &sari);
-    set(Opcode::kMovd, &movd);
-    set(Opcode::kMovh, &movh);
-    set(Opcode::kMovDA, &mov_da);
-    set(Opcode::kMovAD, &mov_ad);
-    set(Opcode::kMovA, &mov_a);
-    set(Opcode::kMovha, &movha);
-    set(Opcode::kLea, &lea);
-    set(Opcode::kAdda, &adda);
-    set(Opcode::kLdW, &load);
-    set(Opcode::kLdH, &load);
-    set(Opcode::kLdB, &load);
-    set(Opcode::kLdA, &load);
-    set(Opcode::kStW, &store);
-    set(Opcode::kStH, &store);
-    set(Opcode::kStB, &store);
-    set(Opcode::kStA, &store);
-    set(Opcode::kJ, &j);
-    set(Opcode::kJi, &ji);
-    set(Opcode::kCall, &call);
-    set(Opcode::kCalli, &calli);
-    set(Opcode::kRet, &ret);
-    set(Opcode::kJeq, &jeq);
-    set(Opcode::kJne, &jne);
-    set(Opcode::kJlt, &jlt);
-    set(Opcode::kJge, &jge);
-    set(Opcode::kJltu, &jltu);
-    set(Opcode::kJgeu, &jgeu);
-    set(Opcode::kJz, &jz);
-    set(Opcode::kJnz, &jnz);
-    set(Opcode::kLoop, &loop);
-    return t;
+  template <usize... I>
+  static constexpr std::array<Fn, isa::kNumOpcodes> make_table(
+      std::index_sequence<I...>) {
+    return {commit_for<static_cast<Opcode>(I)>()...};
   }
 
   static const std::array<Fn, isa::kNumOpcodes> kTable;
 };
 
 const std::array<FastExec::Fn, isa::kNumOpcodes> FastExec::kTable =
-    FastExec::make_table();
+    FastExec::make_table(std::make_index_sequence<isa::kNumOpcodes>{});
 
 // --------------------------------------------------------------------------
 // Window entry / exit.
@@ -453,8 +210,9 @@ void Cpu::fast_exit(FastWindow& fw) {
   const isa::Superblock& blk = *fw.blk;
   for (u32 k = 0; k < fw.count; ++k) {
     const u32 idx = fw.front + k;
+    const SuperOp& op = blk.ops[idx];
     fetch_queue_.push_back(
-        Fetched{blk.base + idx * isa::kInstrBytes, blk.ops[idx].instr});
+        Fetched{blk.base + idx * isa::kInstrBytes, op.instr, op.regs});
   }
   fw.blk = nullptr;
   fw.front = 0;
@@ -541,10 +299,10 @@ bool Cpu::fast_cycle(FastWindow& fw, Cycle now, mcds::CoreObservation& obs) {
     if (slot != nullptr && *slot) break;  // pipe slot taken: group full
 
     bool ready = true;
-    for (const u8 enc : op.src) {
-      if (enc == SuperOp::kNoReg) break;
+    for (const u8 enc : op.regs.src) {
+      if (enc == isa::RegOperands::kNoReg) break;
       const u8 r = enc & 0xF;
-      if ((enc & SuperOp::kAddrFile) != 0) {
+      if (is_addr_reg(enc)) {
         if (a_ready_[r] > now || ((written_a >> r) & 1) != 0) ready = false;
       } else {
         if (d_ready_[r] > now || ((written_d >> r) & 1) != 0) ready = false;
@@ -558,10 +316,10 @@ bool Cpu::fast_cycle(FastWindow& fw, Cycle now, mcds::CoreObservation& obs) {
       break;
     }
 
+    const Addr pc = blk.base + (q_front + plan) * isa::kInstrBytes;
     if ((op.flags & (SuperOp::kLoad | SuperOp::kStore)) != 0) {
       if (env_.data_spr == nullptr) return bail(FastBail::kDataRoute);
-      const Addr addr =
-          a_[op.instr.ra] + static_cast<Addr>(op.instr.imm);
+      const Addr addr = isa::effective_address(operands(op.instr, pc));
       if (env_.data_spr->contains(addr)) {
         mem = FastMemPlan{addr, false};
       } else if ((op.flags & SuperOp::kLoad) != 0 && env_.dcache != nullptr &&
@@ -574,35 +332,13 @@ bool Cpu::fast_cycle(FastWindow& fw, Cycle now, mcds::CoreObservation& obs) {
       }
     }
 
-    if ((op.flags & SuperOp::kBranch) != 0) {
-      bool taken = true;
-      switch (op.instr.opcode) {
-        case Opcode::kJeq: taken = d_[op.instr.rd] == d_[op.instr.ra]; break;
-        case Opcode::kJne: taken = d_[op.instr.rd] != d_[op.instr.ra]; break;
-        case Opcode::kJlt:
-          taken = static_cast<i32>(d_[op.instr.rd]) <
-                  static_cast<i32>(d_[op.instr.ra]);
-          break;
-        case Opcode::kJge:
-          taken = static_cast<i32>(d_[op.instr.rd]) >=
-                  static_cast<i32>(d_[op.instr.ra]);
-          break;
-        case Opcode::kJltu: taken = d_[op.instr.rd] < d_[op.instr.ra]; break;
-        case Opcode::kJgeu: taken = d_[op.instr.rd] >= d_[op.instr.ra]; break;
-        case Opcode::kJz: taken = d_[op.instr.rd] == 0; break;
-        case Opcode::kJnz: taken = d_[op.instr.rd] != 0; break;
-        case Opcode::kLoop: taken = a_[op.instr.rd] - 1 != 0; break;
-        default: break;  // unconditional transfers
-      }
-      if (taken) redirected = true;
+    if ((op.flags & SuperOp::kBranch) != 0 &&
+        isa::branch_taken(op.instr.opcode, operands(op.instr, pc))) {
+      redirected = true;
     }
 
-    if (op.dest != SuperOp::kNoReg) {
-      if ((op.dest & SuperOp::kAddrFile) != 0) {
-        written_a |= 1u << (op.dest & 0xF);
-      } else {
-        written_d |= 1u << (op.dest & 0xF);
-      }
+    if (const u8 dest = op.regs.dest; dest != isa::RegOperands::kNoReg) {
+      (is_addr_reg(dest) ? written_a : written_d) |= 1u << (dest & 0xF);
     }
     if (slot != nullptr) *slot = true;
     ++plan;

@@ -1,6 +1,5 @@
 #include "isa/isa.hpp"
 
-#include <array>
 #include <cstdio>
 #include <unordered_map>
 
@@ -9,87 +8,11 @@
 namespace audo::isa {
 namespace {
 
-constexpr OpInfo make_op(const char* mnemonic, Pipe pipe, bool load = false,
-                         bool store = false, bool branch = false,
-                         bool cond = false, bool uses_rb = false,
-                         u8 latency = 1) {
-  return OpInfo{mnemonic, pipe, load, store, branch, cond, uses_rb, latency};
-}
-
-// Table order must match the Opcode enum exactly; checked below.
-constexpr std::array<OpInfo, kNumOpcodes> kOpTable = {{
-    make_op("nop", Pipe::kSys),
-    make_op("halt", Pipe::kSys),
-    make_op("wfi", Pipe::kSys),
-    make_op("ei", Pipe::kSys),
-    make_op("di", Pipe::kSys),
-    make_op("rfe", Pipe::kSys, false, false, /*branch=*/true),
-    make_op("mfcr", Pipe::kSys),
-    make_op("mtcr", Pipe::kSys),
-    make_op("debug", Pipe::kSys),
-
-    make_op("add", Pipe::kIp, false, false, false, false, true),
-    make_op("sub", Pipe::kIp, false, false, false, false, true),
-    make_op("and", Pipe::kIp, false, false, false, false, true),
-    make_op("or", Pipe::kIp, false, false, false, false, true),
-    make_op("xor", Pipe::kIp, false, false, false, false, true),
-    make_op("shl", Pipe::kIp, false, false, false, false, true),
-    make_op("shr", Pipe::kIp, false, false, false, false, true),
-    make_op("sar", Pipe::kIp, false, false, false, false, true),
-    make_op("mul", Pipe::kIp, false, false, false, false, true, 2),
-    make_op("mac", Pipe::kIp, false, false, false, false, true, 2),
-    make_op("div", Pipe::kIp, false, false, false, false, true, 8),
-    make_op("min", Pipe::kIp, false, false, false, false, true),
-    make_op("max", Pipe::kIp, false, false, false, false, true),
-    make_op("abs", Pipe::kIp),
-    make_op("addi", Pipe::kIp),
-    make_op("andi", Pipe::kIp),
-    make_op("ori", Pipe::kIp),
-    make_op("xori", Pipe::kIp),
-    make_op("shli", Pipe::kIp),
-    make_op("shri", Pipe::kIp),
-    make_op("sari", Pipe::kIp),
-    make_op("movd", Pipe::kIp),
-    make_op("movh", Pipe::kIp),
-    make_op("mov.da", Pipe::kIp),
-
-    make_op("mov.ad", Pipe::kLs),
-    make_op("mov.a", Pipe::kLs),
-    make_op("movha", Pipe::kLs),
-    make_op("lea", Pipe::kLs),
-    make_op("adda", Pipe::kLs, false, false, false, false, true),
-    make_op("ld.w", Pipe::kLs, /*load=*/true, false, false, false, false, 2),
-    make_op("ld.h", Pipe::kLs, /*load=*/true, false, false, false, false, 2),
-    make_op("ld.b", Pipe::kLs, /*load=*/true, false, false, false, false, 2),
-    make_op("ld.a", Pipe::kLs, /*load=*/true, false, false, false, false, 2),
-    make_op("st.w", Pipe::kLs, false, /*store=*/true),
-    make_op("st.h", Pipe::kLs, false, /*store=*/true),
-    make_op("st.b", Pipe::kLs, false, /*store=*/true),
-    make_op("st.a", Pipe::kLs, false, /*store=*/true),
-
-    make_op("j", Pipe::kLp, false, false, true),
-    make_op("ji", Pipe::kLp, false, false, true),
-    make_op("call", Pipe::kLp, false, false, true),
-    make_op("calli", Pipe::kLp, false, false, true),
-    make_op("ret", Pipe::kLp, false, false, true),
-    make_op("jeq", Pipe::kLp, false, false, true, true),
-    make_op("jne", Pipe::kLp, false, false, true, true),
-    make_op("jlt", Pipe::kLp, false, false, true, true),
-    make_op("jge", Pipe::kLp, false, false, true, true),
-    make_op("jltu", Pipe::kLp, false, false, true, true),
-    make_op("jgeu", Pipe::kLp, false, false, true, true),
-    make_op("jz", Pipe::kLp, false, false, true, true),
-    make_op("jnz", Pipe::kLp, false, false, true, true),
-    make_op("loop", Pipe::kLp, false, false, true, true),
-}};
-
-static_assert(kOpTable.size() == kNumOpcodes);
-
 const std::unordered_map<std::string, Opcode>& mnemonic_map() {
   static const auto* map = [] {
     auto* m = new std::unordered_map<std::string, Opcode>();
     for (unsigned i = 0; i < kNumOpcodes; ++i) {
-      (*m)[kOpTable[i].mnemonic] = static_cast<Opcode>(i);
+      (*m)[detail::kOpTable[i].mnemonic] = static_cast<Opcode>(i);
     }
     return m;
   }();
@@ -97,12 +20,6 @@ const std::unordered_map<std::string, Opcode>& mnemonic_map() {
 }
 
 }  // namespace
-
-const OpInfo& op_info(Opcode op) {
-  const auto index = static_cast<unsigned>(op);
-  assert(index < kNumOpcodes);
-  return kOpTable[index];
-}
 
 u32 encode(const Instr& instr) {
   const OpInfo& info = op_info(instr.opcode);
@@ -121,26 +38,9 @@ u32 encode(const Instr& instr) {
 }
 
 Result<Instr> decode(u32 word) {
-  const u32 op_field = bits(word, 24, 8);
-  if (op_field >= kNumOpcodes) {
-    return error(StatusCode::kDecodeError,
-                 "unknown opcode " + std::to_string(op_field));
-  }
-  Instr instr;
-  instr.opcode = static_cast<Opcode>(op_field);
-  instr.rd = static_cast<u8>(bits(word, 20, 4));
-  instr.ra = static_cast<u8>(bits(word, 16, 4));
-  const OpInfo& info = op_info(instr.opcode);
-  if (info.uses_rb) {
-    instr.rb = static_cast<u8>(bits(word, 0, 4));
-    instr.imm = 0;
-  } else {
-    instr.rb = 0;
-    // Immediates are stored sign-extended; opcodes that need zero
-    // extension (andi/ori/xori) mask at execute time.
-    instr.imm = sign_extend(bits(word, 0, 16), 16);
-  }
-  return instr;
+  if (const auto instr = try_decode(word)) return *instr;
+  return error(StatusCode::kDecodeError,
+               "unknown opcode " + std::to_string(bits(word, 24, 8)));
 }
 
 std::string format_instr(const Instr& instr) {

@@ -17,9 +17,12 @@
 // signed imm16 counted in 32-bit words relative to the *next* instruction.
 #pragma once
 
+#include <array>
+#include <cassert>
 #include <optional>
 #include <string>
 
+#include "common/bits.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 
@@ -128,13 +131,116 @@ struct OpInfo {
   u8 result_latency;    // cycles until the result register is forwardable
 };
 
-const OpInfo& op_info(Opcode op);
+namespace detail {
+
+constexpr OpInfo make_op(const char* mnemonic, Pipe pipe, bool load = false,
+                         bool store = false, bool branch = false,
+                         bool cond = false, bool uses_rb = false,
+                         u8 latency = 1) {
+  return OpInfo{mnemonic, pipe, load, store, branch, cond, uses_rb, latency};
+}
+
+// Table order must match the Opcode enum exactly; checked below.
+inline constexpr std::array<OpInfo, kNumOpcodes> kOpTable = {{
+    make_op("nop", Pipe::kSys),
+    make_op("halt", Pipe::kSys),
+    make_op("wfi", Pipe::kSys),
+    make_op("ei", Pipe::kSys),
+    make_op("di", Pipe::kSys),
+    make_op("rfe", Pipe::kSys, false, false, /*branch=*/true),
+    make_op("mfcr", Pipe::kSys),
+    make_op("mtcr", Pipe::kSys),
+    make_op("debug", Pipe::kSys),
+
+    make_op("add", Pipe::kIp, false, false, false, false, true),
+    make_op("sub", Pipe::kIp, false, false, false, false, true),
+    make_op("and", Pipe::kIp, false, false, false, false, true),
+    make_op("or", Pipe::kIp, false, false, false, false, true),
+    make_op("xor", Pipe::kIp, false, false, false, false, true),
+    make_op("shl", Pipe::kIp, false, false, false, false, true),
+    make_op("shr", Pipe::kIp, false, false, false, false, true),
+    make_op("sar", Pipe::kIp, false, false, false, false, true),
+    make_op("mul", Pipe::kIp, false, false, false, false, true, 2),
+    make_op("mac", Pipe::kIp, false, false, false, false, true, 2),
+    make_op("div", Pipe::kIp, false, false, false, false, true, 8),
+    make_op("min", Pipe::kIp, false, false, false, false, true),
+    make_op("max", Pipe::kIp, false, false, false, false, true),
+    make_op("abs", Pipe::kIp),
+    make_op("addi", Pipe::kIp),
+    make_op("andi", Pipe::kIp),
+    make_op("ori", Pipe::kIp),
+    make_op("xori", Pipe::kIp),
+    make_op("shli", Pipe::kIp),
+    make_op("shri", Pipe::kIp),
+    make_op("sari", Pipe::kIp),
+    make_op("movd", Pipe::kIp),
+    make_op("movh", Pipe::kIp),
+    make_op("mov.da", Pipe::kIp),
+
+    make_op("mov.ad", Pipe::kLs),
+    make_op("mov.a", Pipe::kLs),
+    make_op("movha", Pipe::kLs),
+    make_op("lea", Pipe::kLs),
+    make_op("adda", Pipe::kLs, false, false, false, false, true),
+    make_op("ld.w", Pipe::kLs, /*load=*/true, false, false, false, false, 2),
+    make_op("ld.h", Pipe::kLs, /*load=*/true, false, false, false, false, 2),
+    make_op("ld.b", Pipe::kLs, /*load=*/true, false, false, false, false, 2),
+    make_op("ld.a", Pipe::kLs, /*load=*/true, false, false, false, false, 2),
+    make_op("st.w", Pipe::kLs, false, /*store=*/true),
+    make_op("st.h", Pipe::kLs, false, /*store=*/true),
+    make_op("st.b", Pipe::kLs, false, /*store=*/true),
+    make_op("st.a", Pipe::kLs, false, /*store=*/true),
+
+    make_op("j", Pipe::kLp, false, false, true),
+    make_op("ji", Pipe::kLp, false, false, true),
+    make_op("call", Pipe::kLp, false, false, true),
+    make_op("calli", Pipe::kLp, false, false, true),
+    make_op("ret", Pipe::kLp, false, false, true),
+    make_op("jeq", Pipe::kLp, false, false, true, true),
+    make_op("jne", Pipe::kLp, false, false, true, true),
+    make_op("jlt", Pipe::kLp, false, false, true, true),
+    make_op("jge", Pipe::kLp, false, false, true, true),
+    make_op("jltu", Pipe::kLp, false, false, true, true),
+    make_op("jgeu", Pipe::kLp, false, false, true, true),
+    make_op("jz", Pipe::kLp, false, false, true, true),
+    make_op("jnz", Pipe::kLp, false, false, true, true),
+    make_op("loop", Pipe::kLp, false, false, true, true),
+}};
+
+static_assert(kOpTable.size() == kNumOpcodes);
+
+}  // namespace detail
+
+constexpr const OpInfo& op_info(Opcode op) {
+  const auto index = static_cast<unsigned>(op);
+  assert(index < kNumOpcodes);
+  return detail::kOpTable[index];
+}
 
 /// Encode to the 32-bit instruction word.
 u32 encode(const Instr& instr);
 
 /// Decode a 32-bit word. Unknown opcodes decode to an error.
 Result<Instr> decode(u32 word);
+
+/// decode() without the error message: nullopt for unknown opcodes. The
+/// execution path (isa/semantics.hpp, decode_or_halt) uses this form.
+constexpr std::optional<Instr> try_decode(u32 word) {
+  const u32 op_field = bits(word, 24, 8);
+  if (op_field >= kNumOpcodes) return std::nullopt;
+  Instr instr;
+  instr.opcode = static_cast<Opcode>(op_field);
+  instr.rd = static_cast<u8>(bits(word, 20, 4));
+  instr.ra = static_cast<u8>(bits(word, 16, 4));
+  if (op_info(instr.opcode).uses_rb) {
+    instr.rb = static_cast<u8>(bits(word, 0, 4));
+  } else {
+    // Immediates are stored sign-extended; opcodes that need zero
+    // extension (andi/ori/xori) mask at execute time.
+    instr.imm = sign_extend(bits(word, 0, 16), 16);
+  }
+  return instr;
+}
 
 /// Disassemble for logs and trace dumps, e.g. "add d1, d2, d3".
 std::string format_instr(const Instr& instr);

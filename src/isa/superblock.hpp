@@ -4,27 +4,26 @@
 // A superblock is a chunk of straight-line code predecoded into a dense
 // array of operation records: for every word, the decoded instruction
 // plus everything the per-cycle issue loop otherwise recomputes — pipe,
-// result latency, the source/destination register sets behind the
-// scoreboard checks, and a per-opcode execute functor. The fast tier in
-// cpu::Cpu walks these arrays with a function-pointer dispatch loop
-// instead of re-deriving the same metadata for the same loop body
-// millions of times.
+// result latency and the isa::reg_operands() register sets behind the
+// scoreboard checks. The fast tier in cpu::Cpu walks these arrays with a
+// per-opcode function-pointer dispatch loop instead of re-deriving the
+// same metadata for the same loop body millions of times.
 //
-// Correctness follows the decode cache's word-validation story: every
-// record stores the raw memory word it was decoded from, and the fast
-// tier compares records against memory before consuming them — code
-// modified at runtime mismatches and falls back to the accurate stepper
-// (which re-reads memory and re-decodes). On top of that, the owning Soc
+// Superblocks validate their own words: every record stores the raw
+// memory word it was decoded from, and the fast tier compares records
+// against memory before consuming them — code modified at runtime
+// mismatches and falls back to the accurate stepper (which re-reads
+// memory and decodes each word afresh). On top of that, the owning Soc
 // routes every runtime code-write path (scratchpad stores, DMA, program
 // reload, snapshot restore) through one shared invalidation funnel that
 // drops the affected chunks eagerly.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <vector>
 
 #include "isa/isa.hpp"
+#include "isa/semantics.hpp"
 
 namespace audo::isa {
 
@@ -34,28 +33,22 @@ struct SuperOp {
   enum Flags : u8 {
     kLoad = 1u << 0,
     kStore = 1u << 1,
-    kBranch = 1u << 2,      // any control transfer
-    kCondBranch = 1u << 3,  // taken-ness depends on register state
+    kBranch = 1u << 2,  // any control transfer
     /// The fast tier cannot execute this op (SYS-pipe ops other than NOP,
     /// and undecodable words): the cycle that would issue it falls back
     /// to the accurate stepper untouched.
-    kBail = 1u << 4,
+    kBail = 1u << 3,
   };
 
   u32 word = 0;   // raw memory word the decode was made from
-  Instr instr{};  // kHalt for undecodable words, same as the fetch path
+  Instr instr{};  // decode_or_halt(word), same as the fetch path
 
   u8 pipe = 0;     // isa::Pipe
   u8 latency = 1;  // OpInfo::result_latency
   u8 flags = 0;
 
-  /// Source registers, precomputed from the same table as the accurate
-  /// stepper's hazard check: bit 7 selects the address file, low bits the
-  /// index. `kNoReg` terminates the (always <= 3-entry) list.
-  static constexpr u8 kNoReg = 0xFF;
-  static constexpr u8 kAddrFile = 0x80;
-  std::array<u8, 3> src{kNoReg, kNoReg, kNoReg};
-  u8 dest = kNoReg;  // destination register, same encoding
+  /// reg_operands(instr): the scoreboard sources and the destination.
+  RegOperands regs{};
 };
 
 /// A contiguous predecoded chunk of one code region. Chunks are aligned

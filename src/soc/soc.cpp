@@ -131,7 +131,6 @@ Soc::Soc(const SocConfig& config)
   cpu::CpuConfig tc_cfg;
   tc_cfg.issue_width = config.tc_issue_width;
   cpu::Cpu::Env tc_env;
-  tc_env.decode_cache = &decode_cache_;
   tc_env.bus = &sri_;
   tc_env.code_spr = &pspr_;
   tc_env.data_spr = &dspr_;
@@ -170,7 +169,6 @@ Soc::Soc(const SocConfig& config)
     pcp_cfg.fetch_master = bus::MasterId::kPcpData;  // PCP has one port
     pcp_cfg.data_master = bus::MasterId::kPcpData;
     cpu::Cpu::Env pcp_env;
-    pcp_env.decode_cache = &decode_cache_;
     pcp_env.bus = &sri_;
     pcp_env.code_spr = pcp_pram_.get();
     pcp_env.data_spr = pcp_dram_.get();
@@ -208,20 +206,6 @@ void Soc::set_fault_injector(fault::FaultInjector* injector) {
 Status Soc::load(const isa::Program& program) {
   for (const isa::Section& sec : program.sections()) {
     const Addr base = sec.base;
-    // Predecode for the fetch path. add_section() invalidates whatever an
-    // earlier load() placed at overlapping addresses; a flash section runs
-    // out of either address alias, so it registers once with both bases —
-    // one entry array, one range to drop on overlap.
-    if (decode_cache_enabled_) {
-      if (mem::is_pflash(base, config_.pflash.size)) {
-        const u32 off = mem::pflash_offset(base);
-        decode_cache_.add_section_aliased(mem::kPFlashCachedBase + off,
-                                          mem::kPFlashUncachedBase + off,
-                                          sec.bytes);
-      } else {
-        decode_cache_.add_section(base, sec.bytes);
-      }
-    }
     // The array().load() below bypasses the scratchpad write listener, so
     // drop superblocks over the loaded range here.
     invalidate_code(base, static_cast<u32>(sec.bytes.size()));
@@ -265,11 +249,6 @@ void Soc::reset(Addr tc_entry, Addr pcp_entry) {
   icache_.invalidate_all();
   dcache_.invalidate_all();
   pflash_.invalidate_buffers();
-}
-
-void Soc::set_decode_cache_enabled(bool enabled) {
-  decode_cache_enabled_ = enabled;
-  if (!enabled) decode_cache_.clear();
 }
 
 void Soc::invalidate_code(Addr addr, u32 bytes) {

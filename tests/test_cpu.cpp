@@ -57,7 +57,15 @@ TEST(CpuArith, ShiftsAndImmediates) {
 }
 
 TEST(CpuArith, MulMacDivMinMaxAbs) {
-  auto r = run_program(pspr_text(R"(
+  // Both execution tiers share one definition of these semantics
+  // (isa/semantics.hpp); run each.
+  for (const auto tier : {soc::SocConfig::ExecTier::kAccurate,
+                          soc::SocConfig::ExecTier::kSuperblock}) {
+    SCOPED_TRACE(tier == soc::SocConfig::ExecTier::kAccurate ? "accurate"
+                                                             : "superblock");
+    soc::SocConfig config = small_config();
+    config.exec_tier = tier;
+    auto r = run_program(pspr_text(R"(
     movd d1, 6
     movd d2, 7
     mul  d0, d1, d2
@@ -71,16 +79,21 @@ TEST(CpuArith, MulMacDivMinMaxAbs) {
     abs  d9, d4
     movd d10, 0
     div  d11, d1, d10    ; div by zero -> all ones
+    movh d12, 0x8000
+    abs  d13, d12        ; |INT_MIN| wraps to INT_MIN
     halt
-)"));
-  ASSERT_TRUE(r.halted());
-  EXPECT_EQ(r.d(0), 42u);
-  EXPECT_EQ(r.d(3), 142u);
-  EXPECT_EQ(r.d(6), static_cast<u32>(-3));
-  EXPECT_EQ(r.d(7), static_cast<u32>(-20));
-  EXPECT_EQ(r.d(8), 6u);
-  EXPECT_EQ(r.d(9), 20u);
-  EXPECT_EQ(r.d(11), 0xFFFFFFFFu);
+)"),
+                         config);
+    ASSERT_TRUE(r.halted());
+    EXPECT_EQ(r.d(0), 42u);
+    EXPECT_EQ(r.d(3), 142u);
+    EXPECT_EQ(r.d(6), static_cast<u32>(-3));
+    EXPECT_EQ(r.d(7), static_cast<u32>(-20));
+    EXPECT_EQ(r.d(8), 6u);
+    EXPECT_EQ(r.d(9), 20u);
+    EXPECT_EQ(r.d(11), 0xFFFFFFFFu);
+    EXPECT_EQ(r.d(13), 0x80000000u);
+  }
 }
 
 TEST(CpuArith, MovhBuildsConstants) {

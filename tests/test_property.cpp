@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <ostream>
+#include <vector>
 
 #include "common/prng.hpp"
 #include "helpers.hpp"
@@ -93,8 +95,9 @@ class ReferenceIss {
                        ? d[in.ra] : d[in.rb];
         break;
       case kAbs: {
-        const i32 v = static_cast<i32>(d[in.ra]);
-        d[in.rd] = static_cast<u32>(v < 0 ? -v : v);
+        // Two's-complement negation of a set sign bit; INT_MIN stays put.
+        const u32 x = d[in.ra];
+        d[in.rd] = (x & 0x80000000u) != 0 ? ~x + 1 : x;
         break;
       }
       case kAddi: d[in.rd] = d[in.ra] + static_cast<u32>(in.imm); break;
@@ -269,17 +272,37 @@ isa::Program random_program(u64 seed) {
   return program;
 }
 
-class CpuVsReference : public ::testing::TestWithParam<u64> {};
+// Seed x execution tier: both tiers are held to the reference, so the
+// stepper's semantics are checked on every instruction, not only on the
+// superblock tier's bail cycles.
+struct ReferenceCase {
+  u64 seed;
+  soc::SocConfig::ExecTier tier;
+};
+// ctest names each case by its printed parameter; the instantiation name
+// carries the tier, so print the seed alone.
+void PrintTo(const ReferenceCase& c, std::ostream* os) { *os << c.seed; }
+
+std::vector<ReferenceCase> reference_cases(soc::SocConfig::ExecTier tier) {
+  std::vector<ReferenceCase> cases;
+  for (u64 seed = 1; seed <= 40; ++seed) cases.push_back({seed, tier});
+  return cases;
+}
+
+class CpuVsReference : public ::testing::TestWithParam<ReferenceCase> {};
 
 TEST_P(CpuVsReference, ArchitecturalStateMatches) {
-  const isa::Program program = random_program(GetParam());
+  const u64 seed = GetParam().seed;
+  const isa::Program program = random_program(seed);
 
   // Pipelined model on the full SoC.
-  soc::Soc soc(test::small_config());
+  soc::SocConfig config = test::small_config();
+  config.exec_tier = GetParam().tier;
+  soc::Soc soc(config);
   ASSERT_TRUE(soc.load(program).is_ok());
   soc.reset(program.entry());
   soc.run(2'000'000);
-  ASSERT_TRUE(soc.tc().halted()) << "seed " << GetParam();
+  ASSERT_TRUE(soc.tc().halted()) << "seed " << seed;
 
   // Reference interpreter.
   ReferenceIss iss;
@@ -290,23 +313,29 @@ TEST_P(CpuVsReference, ArchitecturalStateMatches) {
   }
   iss.pc = program.entry();
   for (u64 steps = 0; !iss.halted && steps < 1'000'000; ++steps) iss.step();
-  ASSERT_TRUE(iss.halted) << "seed " << GetParam();
+  ASSERT_TRUE(iss.halted) << "seed " << seed;
 
   for (unsigned r = 0; r < 16; ++r) {
-    EXPECT_EQ(soc.tc().d(r), iss.d[r]) << "d" << r << " seed " << GetParam();
-    EXPECT_EQ(soc.tc().a(r), iss.a[r]) << "a" << r << " seed " << GetParam();
+    EXPECT_EQ(soc.tc().d(r), iss.d[r]) << "d" << r << " seed " << seed;
+    EXPECT_EQ(soc.tc().a(r), iss.a[r]) << "a" << r << " seed " << seed;
   }
   // Scratchpad contents must match too.
   for (usize i = 0; i < iss.dspr.size(); i += 4) {
     const u32 model = soc.dspr().array().read32(i);
     u32 ref = 0;
     for (int b = 0; b < 4; ++b) ref |= u32{iss.dspr[i + b]} << (8 * b);
-    ASSERT_EQ(model, ref) << "dspr+" << i << " seed " << GetParam();
+    ASSERT_EQ(model, ref) << "dspr+" << i << " seed " << seed;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomPrograms, CpuVsReference,
-                         ::testing::Range<u64>(1, 41));
+// RandomPrograms runs the default superblock tier, RandomProgramsAccurate
+// the stepper alone.
+INSTANTIATE_TEST_SUITE_P(
+    RandomPrograms, CpuVsReference,
+    ::testing::ValuesIn(reference_cases(soc::SocConfig::ExecTier::kSuperblock)));
+INSTANTIATE_TEST_SUITE_P(
+    RandomProgramsAccurate, CpuVsReference,
+    ::testing::ValuesIn(reference_cases(soc::SocConfig::ExecTier::kAccurate)));
 
 // ---------------------------------------------------------------------
 // Flow-trace reconstruction property: replaying the decoded flow trace

@@ -2,8 +2,8 @@
 """CI perf smoke: run bench_throughput and emit BENCH_throughput.json.
 
 Runs the bench binary, parses its `THROUGHPUT key=value` tail, derives the
-headline numbers (single-run cycles/sec with the decode cache on/off, and
-serial-vs-parallel sweep wall clock), and writes them as one JSON artifact
+headline numbers (single-run cycles/sec of one default-config engine run,
+and serial-vs-parallel sweep wall clock), and writes them as one JSON artifact
 with a `host` block (core count, CPU model, and the compiler and build type
 from the build tree's CMakeCache.txt) naming where the numbers come from.
 
@@ -109,7 +109,7 @@ def main():
 
     values = parse_throughput_lines(proc.stdout)
     required = [
-        "single_run_cache_on_cps", "single_run_cache_off_cps",
+        "single_run_cps",
         "sweep_serial_seconds", "sweep_parallel_seconds", "sweep_jobs",
         "hardware_jobs", "sweep_identical",
         "ff_on_seconds", "ff_off_seconds", "ff_identical",
@@ -179,8 +179,7 @@ def main():
         "host": host_descriptor(args.bench),
         "single_run": {
             "cycles": int(values.get("single_run_cycles", 0)),
-            "cache_on_cycles_per_second": values["single_run_cache_on_cps"],
-            "cache_off_cycles_per_second": values["single_run_cache_off_cps"],
+            "cycles_per_second": values["single_run_cps"],
             # Dense run with the execution-DAG observer attached (0 when
             # produced by an older bench binary).
             "dag_observer_cycles_per_second":
