@@ -1,6 +1,7 @@
 #include "bus/crossbar.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "telemetry/metrics.hpp"
 
@@ -20,6 +21,7 @@ const char* to_string(MasterId id) {
 
 unsigned Crossbar::add_slave(BusSlave* slave) {
   assert(slave != nullptr);
+  assert(slaves_.size() < 64 && "busy_slaves_ holds one bit per slave");
   slaves_.push_back(slave);
   slave_state_.emplace_back();
   stats_.emplace_back();
@@ -80,23 +82,18 @@ bool Crossbar::issue(MasterPort& port, const BusRequest& req, Cycle now) {
   assert(pending_[master_index] == nullptr &&
          "master has another port pending on this fabric");
   pending_[master_index] = &port;
-  return true;
-}
-
-bool Crossbar::idle() const {
-  for (const MasterPort* port : pending_) {
-    if (port != nullptr) return false;
-  }
-  for (const SlaveState& state : slave_state_) {
-    if (state.busy) return false;
-  }
+  pending_masters_ |= 1u << master_index;
   return true;
 }
 
 void Crossbar::step(Cycle now) {
-  observation_.clear();
-  blocked_by_.fill(MasterId::kCount);
-  blocked_slave_.fill(0xFF);
+  if (dirty_) {
+    observation_.clear();
+    blocked_by_.fill(MasterId::kCount);
+    blocked_slave_.fill(0xFF);
+    dirty_ = false;
+  }
+  if (pending_masters_ == 0) return;
 
   // A master-cycle spent blocked: the request stays kWaiting past this
   // cycle's arbitration while `holder` occupies (or wins) the slave.
@@ -118,6 +115,7 @@ void Crossbar::step(Cycle now) {
     MasterPort* port = state.active_port;
     assert(port != nullptr && port->state_ == MasterPort::State::kActive);
     if (--port->remaining == 0) {
+      dirty_ = true;
       if (state.error_arm > 0) {
         // Injected error response: the transfer is suppressed — the
         // slave never sees the completion, reads return 0.
@@ -131,8 +129,10 @@ void Crossbar::step(Cycle now) {
         port->rdata_ = slaves_[s]->complete_access(port->request_);
       }
       port->state_ = MasterPort::State::kDone;
-      pending_[static_cast<unsigned>(port->request_.master)] = nullptr;
-      state.busy = false;
+      const auto m = static_cast<unsigned>(port->request_.master);
+      pending_[m] = nullptr;
+      pending_masters_ &= ~(1u << m);
+      busy_slaves_ &= ~(u64{1} << s);
       state.active_port = nullptr;
       // Publish the transaction's life cycle for the host timeline.
       if (observation_.completed_count < kNumMasters) {
@@ -148,33 +148,47 @@ void Crossbar::step(Cycle now) {
     }
   };
 
-  // Phase 1: progress transactions that were already active.
-  for (unsigned s = 0; s < slaves_.size(); ++s) {
-    if (slave_state_[s].busy) progress(s);
+  // Phase 1: progress transactions that were already active, in
+  // ascending slave order.
+  for (u64 busy = busy_slaves_; busy != 0; busy &= busy - 1) {
+    progress(static_cast<unsigned>(std::countr_zero(busy)));
   }
 
-  // Phase 2: account waiting masters (for contention stats) and grant.
-  // Build per-slave waiting sets.
-  for (unsigned s = 0; s < slaves_.size(); ++s) {
+  // Phase 2: account waiting masters (for contention stats) and grant,
+  // visiting the slaves with waiting requests in ascending order. A grant
+  // on slave s only changes ports that decoded to s, so the set of wanted
+  // slaves can be taken once up front.
+  u64 wanted = 0;
+  for (u32 m = pending_masters_; m != 0; m &= m - 1) {
+    const MasterPort* port = pending_[std::countr_zero(m)];
+    if (port->state_ == MasterPort::State::kWaiting) {
+      wanted |= u64{1} << port->slave_index;
+    }
+  }
+  if (wanted != 0) dirty_ = true;
+  for (; wanted != 0; wanted &= wanted - 1) {
+    const auto s = static_cast<unsigned>(std::countr_zero(wanted));
     SlaveState& state = slave_state_[s];
+    const bool busy = (busy_slaves_ >> s) & 1;
 
+    // Waiters in master-id order.
     unsigned waiting = 0;
     std::array<MasterPort*, kNumMasters> waiters{};
-    for (MasterPort* port : pending_) {
-      if (port != nullptr && port->state_ == MasterPort::State::kWaiting &&
+    for (u32 m = pending_masters_; m != 0; m &= m - 1) {
+      MasterPort* port = pending_[std::countr_zero(m)];
+      if (port->state_ == MasterPort::State::kWaiting &&
           port->slave_index == s) {
         waiters[waiting++] = port;
         stats_[s].wait_cycles++;
       }
     }
-    if (waiting == 0) continue;
     observation_.waiting_masters += waiting;
-    const bool contended = waiting > 1 || state.busy;
+    const bool contended = waiting > 1 || busy;
     if (contended) {
       observation_.contention = true;
       stats_[s].contention_cycles++;
     }
-    if (state.busy) {  // slave occupied; nobody can be granted
+    if (busy) {  // slave occupied; nobody can be granted
       const MasterId holder = state.active_port->request_.master;
       for (unsigned i = 0; i < waiting; ++i) {
         record_blocked(waiters[i], holder, s);
@@ -220,7 +234,7 @@ void Crossbar::step(Cycle now) {
     winner->state_ = MasterPort::State::kActive;
     winner->remaining = latency;
     winner->granted_at = now;
-    state.busy = true;
+    busy_slaves_ |= u64{1} << s;
     state.active_port = winner;
 
     stats_[s].grants++;

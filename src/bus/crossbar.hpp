@@ -77,7 +77,12 @@ struct FabricObservation {
   std::array<CompletedTransaction, kNumMasters> completed{};
   unsigned completed_count = 0;
 
-  void clear() { *this = FabricObservation{}; }
+  /// Copies a constant rather than a temporary (see
+  /// mcds::CoreObservation::reset).
+  void clear() {
+    static constexpr FabricObservation kClean{};
+    *this = kClean;
+  }
 };
 
 struct SlaveStats {
@@ -117,13 +122,16 @@ class Crossbar {
   bool issue(MasterPort& port, const BusRequest& req, Cycle now);
 
   /// Advance one cycle: progress active transactions, complete finished
-  /// ones, then arbitrate and grant new ones.
+  /// ones, then arbitrate and grant new ones. Costs O(in-flight
+  /// transactions): slaves are visited in ascending index order within
+  /// each phase, but only those serving or wanted by a request.
   void step(Cycle now);
 
   /// True when nothing is in flight anywhere on the fabric: no master
-  /// waiting or granted, no slave serving a transaction. A step() in this
-  /// state only clears the (already empty) observation.
-  bool idle() const;
+  /// waiting or granted, no slave serving a transaction (a busy slave's
+  /// transaction stays pending until it completes). A step() in this
+  /// state does nothing. O(1).
+  bool idle() const { return pending_masters_ == 0; }
 
   const FabricObservation& observation() const { return observation_; }
   const SlaveStats& slave_stats(unsigned slave) const {
@@ -209,7 +217,6 @@ class Crossbar {
     for (SlaveState& s : slave_state_) {
       s.rr_next = r.get_u32();
       s.error_arm = r.get_u64();
-      s.busy = false;
       s.active_port = nullptr;
     }
     for (SlaveStats& s : stats_) {
@@ -227,9 +234,12 @@ class Crossbar {
     }
     for (u64& v : interference_) v = r.get_u64();
     pending_.fill(nullptr);
+    pending_masters_ = 0;
+    busy_slaves_ = 0;
     blocked_by_.fill(MasterId::kCount);
     blocked_slave_.fill(0xFF);
     observation_.clear();
+    dirty_ = false;
   }
 
  private:
@@ -240,8 +250,7 @@ class Crossbar {
   }
 
   struct SlaveState {
-    bool busy = false;
-    MasterPort* active_port = nullptr;
+    MasterPort* active_port = nullptr;  // non-null while busy
     unsigned rr_next = 0;  // round-robin pointer over master ids
     u64 error_arm = 0;     // completions left to fail (fault injection)
   };
@@ -257,15 +266,23 @@ class Crossbar {
   // Ports currently waiting or active, one slot per master (a master has
   // at most one outstanding request on this fabric).
   std::array<MasterPort*, kNumMasters> pending_{};
+  // Bit m set <=> pending_[m] is non-null.
+  u32 pending_masters_ = 0;
+  // Bit s set <=> slave s is serving a transaction (slaves are capped at
+  // 64 by add_slave).
+  u64 busy_slaves_ = 0;
 
   // Interference matrix, [slave][waiter][holder] flattened; grows by one
   // kNumMasters x kNumMasters block per add_slave().
   std::vector<u64> interference_;
-  // Per-cycle blocking info, rewritten by every step().
+  // Per-cycle blocking info, valid for the step() that just ran.
   std::array<MasterId, kNumMasters> blocked_by_{};
   std::array<u8, kNumMasters> blocked_slave_{};
 
   FabricObservation observation_;
+  // The last step() wrote observation_ or the blocking records, so the
+  // next one must clear them first; a quiet cycle leaves them untouched.
+  bool dirty_ = false;
 };
 
 }  // namespace audo::bus

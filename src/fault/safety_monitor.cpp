@@ -63,6 +63,11 @@ void SafetyMonitor::react(AlarmKind kind, Cycle now) {
 
 mcds::SafetyObservation SafetyMonitor::step_cycle(
     Cycle now, const mcds::ObservationFrame& frame) {
+  // A quiet cycle (the common case) observes and counts nothing.
+  if (!frame.sri.error_response && !frame.tc.trap_entry &&
+      !frame.pcp.trap_entry && quiescent()) {
+    return mcds::SafetyObservation{};
+  }
   obs_.reset();
 
   // Fold frame strobes and the watchdog delta into the posted alarms.
@@ -95,14 +100,13 @@ mcds::SafetyObservation SafetyMonitor::step_cycle(
     }
     react(static_cast<AlarmKind>(k), now);
   }
+  posted_ = false;
   return obs_;
 }
 
 bool SafetyMonitor::quiescent() const {
-  for (u32 count : pending_) {
-    if (count != 0) return false;
-  }
-  return watchdog_ == nullptr || watchdog_->timeouts() == last_wdt_timeouts_;
+  return !posted_ &&
+         (watchdog_ == nullptr || watchdog_->timeouts() == last_wdt_timeouts_);
 }
 
 void SafetyMonitor::register_metrics(telemetry::MetricsRegistry& registry,

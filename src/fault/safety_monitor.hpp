@@ -59,10 +59,11 @@ class SafetyMonitor {
   /// end-of-cycle step_cycle().
   void post(AlarmKind kind) {
     pending_[static_cast<unsigned>(kind)] += 1;
+    posted_ = true;
   }
 
   /// End-of-cycle: fold in frame strobes, count alarms, apply reactions,
-  /// and return the cycle's safety observation.
+  /// and return the cycle's safety observation. O(1) on a quiet cycle.
   mcds::SafetyObservation step_cycle(Cycle now,
                                      const mcds::ObservationFrame& frame);
 
@@ -70,7 +71,7 @@ class SafetyMonitor {
   /// step_cycle() over frames with clear strobes would be an observable
   /// no-op. The superblock fast tier (soc.cpp) uses this to hoist the
   /// per-cycle monitor call out of a window whose invariants keep every
-  /// alarm source silent.
+  /// alarm source silent. O(1).
   bool quiescent() const;
 
   u64 total(AlarmKind kind) const {
@@ -94,6 +95,7 @@ class SafetyMonitor {
     last_wdt_timeouts_ = r.get_u64();
     reactions_fired_ = r.get_u64();
     pending_.fill(0);
+    posted_ = false;
     obs_ = mcds::SafetyObservation{};
   }
 
@@ -107,6 +109,7 @@ class SafetyMonitor {
   const periph::Watchdog* watchdog_ = nullptr;
 
   std::array<u32, kNumAlarmKinds> pending_{};  // posted this cycle
+  bool posted_ = false;                        // some pending_ is nonzero
   std::array<u64, kNumAlarmKinds> totals_{};
   u64 last_wdt_timeouts_ = 0;
   u64 reactions_fired_ = 0;  // non-kRecord reactions applied

@@ -116,8 +116,14 @@ struct CoreObservation {
 
   /// Per-cycle reset. Equivalent to assigning a fresh CoreObservation,
   /// written out so Soc::step() can clear just the two core records
-  /// instead of value-initializing the whole frame every cycle.
-  void reset() { *this = CoreObservation{}; }
+  /// instead of value-initializing the whole frame every cycle. Copies a
+  /// constant: assigning a temporary makes the compiler build it on the
+  /// stack and read it back across the narrower stores of the non-zero
+  /// defaults, a store-forwarding stall on every cycle of both tiers.
+  void reset() {
+    static constexpr CoreObservation kClean{};
+    *this = kClean;
+  }
 };
 
 /// DMA controller activity in one cycle.

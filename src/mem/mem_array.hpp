@@ -1,7 +1,9 @@
 // Byte-addressable backing storage shared by all memory models.
 #pragma once
 
+#include <bit>
 #include <cassert>
+#include <cstring>
 #include <vector>
 
 #include "common/snapshot.hpp"
@@ -36,10 +38,7 @@ class MemArray {
       ++violations_;
       return 0;
     }
-    u32 value = 0;
-    for (unsigned i = 0; i < bytes; ++i) {
-      value |= static_cast<u32>(bytes_[offset + i]) << (8 * i);
-    }
+    const u32 value = load_le(offset, bytes);
     if (hook_ != nullptr) return hook_->on_read(offset, bytes, value);
     return value;
   }
@@ -62,11 +61,7 @@ class MemArray {
   /// cannot consume pending ECC fault records.
   u32 peek(usize offset, unsigned bytes) const {
     if (offset + bytes > bytes_.size()) return 0;
-    u32 value = 0;
-    for (unsigned i = 0; i < bytes; ++i) {
-      value |= static_cast<u32>(bytes_[offset + i]) << (8 * i);
-    }
-    return value;
+    return load_le(offset, bytes);
   }
 
   void poke(usize offset, u32 value, unsigned bytes) {
@@ -110,6 +105,23 @@ class MemArray {
   bool operator==(const MemArray& other) const { return bytes_ == other.bytes_; }
 
  private:
+  /// Little-endian value of `bytes` in-range bytes at `offset`. Words —
+  /// every code fetch and most data accesses — are one host load.
+  u32 load_le(usize offset, unsigned bytes) const {
+    if constexpr (std::endian::native == std::endian::little) {
+      if (bytes == 4) {
+        u32 word;
+        std::memcpy(&word, bytes_.data() + offset, sizeof word);
+        return word;
+      }
+    }
+    u32 value = 0;
+    for (unsigned i = 0; i < bytes; ++i) {
+      value |= static_cast<u32>(bytes_[offset + i]) << (8 * i);
+    }
+    return value;
+  }
+
   std::vector<u8> bytes_;
   mutable u64 violations_ = 0;
   MemFaultHook* hook_ = nullptr;

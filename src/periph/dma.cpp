@@ -1,5 +1,7 @@
 #include "periph/dma.hpp"
 
+#include <algorithm>
+
 #include "telemetry/metrics.hpp"
 
 namespace audo::periph {
@@ -28,16 +30,19 @@ void DmaController::setup_channel(unsigned ch, const ChannelConfig& config,
   c.dst = config.dst;
   c.remaining = config.count;
   c.credit = 0;
+  refresh_ready();
 }
 
 void DmaController::enable_channel(unsigned ch, bool enabled) {
   channels_.at(ch).enabled = enabled;
+  refresh_ready();
 }
 
 void DmaController::trigger(unsigned ch) {
   Channel& c = channels_.at(ch);
   c.stats.triggers++;
   c.credit += c.config.units_per_trigger;
+  refresh_ready();
 }
 
 void DmaController::set_done_src(unsigned ch, unsigned src_id) {
@@ -50,19 +55,15 @@ bool DmaController::channel_idle(unsigned ch) const {
   return !in_flight && (c.remaining == 0 || !c.enabled);
 }
 
-bool DmaController::quiescent() const {
-  if (phase_ != Phase::kIdle || !port_.idle()) return false;
-  if (router_ != nullptr && router_->dma_view().pending()) return false;
-  for (const Channel& c : channels_) {
-    if (channel_ready(c)) return false;
-  }
-  return true;
-}
-
 bool DmaController::channel_ready(const Channel& c) const {
   if (!c.enabled || c.remaining == 0) return false;
   if (c.config.units_per_trigger == 0) return true;  // free-running
   return c.credit > 0;
+}
+
+void DmaController::refresh_ready() {
+  any_ready_ = std::any_of(channels_.begin(), channels_.end(),
+                           [this](const Channel& c) { return channel_ready(c); });
 }
 
 void DmaController::reload(Channel& c) {
@@ -73,6 +74,7 @@ void DmaController::reload(Channel& c) {
 
 void DmaController::step(Cycle now) {
   observation_ = mcds::DmaObservation{};
+  if (quiescent()) return;
 
   // Router-driven triggers: priority p pending on the DMA view releases
   // channel p-1.
@@ -121,6 +123,7 @@ void DmaController::step(Cycle now) {
           }
           if (c.config.continuous) reload(c);
         }
+        refresh_ready();
         phase_ = Phase::kIdle;
       }
       return;
@@ -180,6 +183,7 @@ void DmaController::write_sfr(u32 offset, u32 value) {
     case 0x10: trigger(ch); break;
     default: break;
   }
+  refresh_ready();
 }
 
 }  // namespace audo::periph

@@ -1,5 +1,7 @@
 #include "periph/irq_router.hpp"
 
+#include <algorithm>
+
 #include "telemetry/metrics.hpp"
 
 namespace audo::periph {
@@ -27,6 +29,7 @@ void IrqRouter::configure(unsigned src, u8 priority, IrqTarget target,
   node.priority = priority;
   node.target = target;
   node.enabled = enabled;
+  refresh_best();
 }
 
 void IrqRouter::post(unsigned src) {
@@ -37,22 +40,23 @@ void IrqRouter::post(unsigned src) {
     return;
   }
   node.pending = true;
+  if (node.enabled) {
+    u8& best = best_[static_cast<unsigned>(node.target)];
+    best = std::max(best, node.priority);
+  }
   if (node.enabled && node.priority > 0 &&
       raise_count_ < kMaxRaisesPerCycle) {
     raises_[raise_count_++] = Raise{node.priority, node.target};
   }
 }
 
-std::optional<u8> IrqRouter::View::pending() const {
-  u8 best = 0;
-  for (const SrcNode& node : router_->nodes_) {
-    if (node.pending && node.enabled && node.target == target_ &&
-        node.priority > best) {
-      best = node.priority;
-    }
+void IrqRouter::refresh_best() {
+  best_.fill(0);
+  for (const SrcNode& node : nodes_) {
+    if (!node.pending || !node.enabled) continue;
+    u8& best = best_[static_cast<unsigned>(node.target)];
+    best = std::max(best, node.priority);
   }
-  if (best == 0) return std::nullopt;
-  return best;
 }
 
 void IrqRouter::View::acknowledge(u8 prio) {
@@ -61,6 +65,7 @@ void IrqRouter::View::acknowledge(u8 prio) {
         node.priority == prio) {
       node.pending = false;
       node.serviced++;
+      router_->refresh_best();
       return;
     }
   }

@@ -7,6 +7,7 @@
 // option in the optimization study.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,6 +66,12 @@ class IrqRouter {
   }
   bool raises_pending() const { return raise_count_ != 0; }
 
+  /// Highest priority among pending, enabled nodes routed to `target`
+  /// (0 = none). O(1): the router maintains it at every node mutation.
+  u8 pending_priority(IrqTarget target) const {
+    return best_[static_cast<unsigned>(target)];
+  }
+
   const SrcNode& node(unsigned src) const { return nodes_.at(src); }
   unsigned source_count() const { return static_cast<unsigned>(nodes_.size()); }
 
@@ -104,6 +111,7 @@ class IrqRouter {
       n.lost = r.get_u64();
     }
     raise_count_ = 0;
+    refresh_best();
   }
 
   /// Core-facing views. The DMA view makes the router able to trigger
@@ -117,7 +125,11 @@ class IrqRouter {
    public:
     View(IrqRouter* router, IrqTarget target)
         : router_(router), target_(target) {}
-    std::optional<u8> pending() const override;
+    std::optional<u8> pending() const override {
+      const u8 best = router_->pending_priority(target_);
+      if (best == 0) return std::nullopt;
+      return best;
+    }
     void acknowledge(u8 prio) override;
 
    private:
@@ -125,7 +137,17 @@ class IrqRouter {
     IrqTarget target_;
   };
 
+  static constexpr unsigned kNumTargets = 3;
+
+  /// Recompute best_ from the node table (after acknowledge, configure
+  /// and restore; post only ever raises a target's best).
+  void refresh_best();
+
   std::vector<SrcNode> nodes_;
+  /// Per target: the highest priority among pending, enabled nodes
+  /// (0 = none). Maintained at every node mutation so pending() — polled
+  /// several times per cycle by the cores and the DMA — needs no scan.
+  std::array<u8, kNumTargets> best_{};
   Raise raises_[kMaxRaisesPerCycle];
   unsigned raise_count_ = 0;
   View tc_view_{this, IrqTarget::kTc};

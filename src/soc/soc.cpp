@@ -615,19 +615,11 @@ bool Soc::wake_impossible() const {
   return true;
 }
 
-u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
-  if (config_.exec_tier != SocConfig::ExecTier::kSuperblock) return 0;
-  if (max_cycles == 0) return 0;
+u64 Soc::open_fast_window(u64 max_cycles, FrameSink* sink) {
   const auto gate = [this](FastGate reason) -> u64 {
     ++exec_stats_.gates[static_cast<unsigned>(reason)];
     return 0;
   };
-  // Window invariants (see cpu_fast.cpp): nothing outside the TC may act
-  // during the window. A fault injector disables the tier outright; the
-  // phase probe times step() phases that don't exist in a window.
-  if (injector_ != nullptr || probe_ != nullptr) {
-    return gate(FastGate::kInstrumented);
-  }
   if (!dma_.quiescent() || !sri_.idle()) return gate(FastGate::kFabricBusy);
   if (irq_router_.raises_pending()) return gate(FastGate::kIrqPending);
   if (pcp_ != nullptr &&
@@ -666,25 +658,22 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
   // idle, no DMA and no flash-port traffic, each cycle's publish of these
   // sections equals what an accurate step() publishes (the same
   // equivalence skip_idle() is built on).
-  frame_.sri = bus::FabricObservation{};
+  frame_.sri.clear();
   frame_.flash = mem::PFlash::Strobes{};
   frame_.dma = mcds::DmaObservation{};
-  mcds::CoreObservation pcp_parked;
+  // Written in place: building a local and copying it in stalls on
+  // store forwarding, and this runs on every window entry.
+  frame_.pcp.reset();
   unsigned pcp_root = 0;
   if (pcp_ != nullptr) {
-    pcp_parked.present = true;
-    pcp_parked.stall = pcp_->halted() ? mcds::StallCause::kHalted
-                                      : mcds::StallCause::kWfi;
-    pcp_parked.attr.symptom = pcp_parked.stall;
-    pcp_parked.attr.root = pcp_->halted() ? mcds::StallRootCause::kHalted
-                                          : mcds::StallRootCause::kWfi;
-    pcp_root = static_cast<unsigned>(pcp_parked.attr.root);
-  }
-
-  if (pcp_ != nullptr) {
-    frame_.pcp = pcp_parked;
-  } else {
-    frame_.pcp.reset();
+    mcds::CoreObservation& parked = frame_.pcp;
+    parked.present = true;
+    parked.stall = pcp_->halted() ? mcds::StallCause::kHalted
+                                  : mcds::StallCause::kWfi;
+    parked.attr.symptom = parked.stall;
+    parked.attr.root = pcp_->halted() ? mcds::StallRootCause::kHalted
+                                      : mcds::StallRootCause::kWfi;
+    pcp_root = static_cast<unsigned>(parked.attr.root);
   }
   frame_.safety.reset();
   frame_.irq.reset();

@@ -106,8 +106,13 @@ struct FastForwardStats {
 };
 
 /// Why run_fast_window() declined to open a superblock window at the SoC
-/// level, before the core's own fast_enter() got a say. Together with
-/// cpu::FastBail these are the `exec/gate.*` / `exec/bail.*` metrics.
+/// level. Together with cpu::FastBail these are the `exec/gate.*` /
+/// `exec/bail.*` metrics. A declined entry is counted once, under the
+/// first failing check, cheapest first: kInstrumented, then the core's
+/// O(1) cpu::Cpu::fast_drained() (bail.frontend_busy / bail.data_busy),
+/// then the gates below in declaration order, then the rest of
+/// fast_enter(). So a cycle whose core and fabric are both busy counts as
+/// a core bail, not as kFabricBusy.
 enum class FastGate : u8 {
   kInstrumented,  // fault injector or phase probe attached
   kFabricBusy,    // DMA in flight or crossbar not idle
@@ -189,8 +194,30 @@ class Soc {
   /// fault injector attached, bus traffic, no superblock at the PC, ...),
   /// in which case the caller just step()s. `sink` may end the window
   /// early by returning false. run() calls this at the top of its loop;
-  /// the Emulation Device calls it with its MCDS sink.
-  u64 run_fast_window(u64 max_cycles, FrameSink* sink = nullptr);
+  /// the Emulation Device calls it with its MCDS sink. Inline up to the
+  /// core-local check, so the usual decline on bail-heavy code costs a
+  /// few loads and no call.
+  u64 run_fast_window(u64 max_cycles, FrameSink* sink = nullptr) {
+    if (config_.exec_tier != SocConfig::ExecTier::kSuperblock ||
+        max_cycles == 0) {
+      return 0;
+    }
+    // Window invariants (see cpu_fast.cpp): nothing outside the TC may
+    // act during the window. A fault injector disables the tier outright;
+    // the phase probe times step() phases that don't exist in a window.
+    if (injector_ != nullptr || probe_ != nullptr) {
+      ++exec_stats_.gates[static_cast<unsigned>(FastGate::kInstrumented)];
+      return 0;
+    }
+    // Core-local preconditions next: O(1), and on bail-heavy code the
+    // usual reason to decline, so a declined entry never pays for the
+    // SoC-wide gates or next_activity_cycle(). fast_enter() repeats them.
+    if (const cpu::FastBail b = tc_->fast_drained(); b != cpu::FastBail::kNone) {
+      ++exec_stats_.bails[static_cast<unsigned>(b)];
+      return 0;
+    }
+    return open_fast_window(max_cycles, sink);
+  }
 
   /// Invalidate predecoded superblocks overlapping [addr, addr+bytes).
   /// Flash aliases are normalised, so a write through either the cached
@@ -407,6 +434,10 @@ class Soc {
     void on_scratchpad_write(Addr addr, unsigned bytes) override;
   };
   CodeWriteInvalidator pspr_invalidator_;
+
+  /// run_fast_window() past the core-local check: the SoC-wide gates,
+  /// the window bound, fast_enter() and the window loop.
+  u64 open_fast_window(u64 max_cycles, FrameSink* sink);
 
   /// Provably no wake source can ever fire again (idle-deadlock scan);
   /// call only while quiescent() holds.

@@ -130,6 +130,15 @@ struct Geometry {
   Replacement repl;
 };
 
+// Names the ctest case after the geometry; gtest's default printout dumps
+// the struct's bytes, padding included, which differ between builds.
+void PrintTo(const Geometry& g, std::ostream* os) {
+  const char* repl = g.repl == Replacement::kLru        ? "lru"
+                     : g.repl == Replacement::kPlruTree ? "plru"
+                                                        : "rr";
+  *os << g.size << "B_" << g.ways << "way_" << g.line << "B_" << repl;
+}
+
 class CacheGeometry : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(CacheGeometry, WorkingSetSmallerThanCacheAlwaysHitsAfterWarmup) {
