@@ -62,7 +62,7 @@ bool Cpu::addr_in_cached_flash(Addr addr) const {
 // Fetch.
 
 void Cpu::flush_fetch() {
-  fetch_queue_.clear();
+  if (!fetch_queue_.empty()) fetch_queue_.clear();
   if (fetch_state_ == FetchState::kBusWait) {
     fetch_discard_ = true;  // the bus transaction completes, result dropped
   } else {
@@ -500,12 +500,6 @@ bool Cpu::execute(const Fetched& f, Cycle now, mcds::CoreObservation& obs,
 
 // --------------------------------------------------------------------------
 // Quiescence (idle fast-forward support).
-
-bool Cpu::irq_acceptable(u8 prio) const {
-  const u8 ccpn =
-      static_cast<u8>((icr_ & isa::kIcrCcpnMask) >> isa::kIcrCcpnShift);
-  return (icr_ & isa::kIcrIeBit) != 0 && prio > ccpn;
-}
 
 bool Cpu::quiescent() const {
   if (!halted_ && !wfi_) return false;

@@ -18,21 +18,6 @@ void Stm::step(Cycle now) {
   }
 }
 
-Cycle Stm::next_activity_cycle(Cycle now) const {
-  Cycle next = kNoActivity;
-  for (int i = 0; i < 2; ++i) {
-    if ((ctrl_ & (1u << i)) == 0 || period_[i] == 0) continue;
-    // step() fires once counter_ reaches next_fire_; counter_ advances by
-    // one per step, so the compare lands (next_fire_ - counter_) steps out
-    // (immediately next step when the deadline already passed).
-    const Cycle at = next_fire_[i] > counter_
-                         ? now + (next_fire_[i] - counter_)
-                         : now + 1;
-    next = std::min(next, at);
-  }
-  return next;
-}
-
 u32 Stm::read_sfr(u32 offset) {
   switch (offset) {
     case 0x00: return static_cast<u32>(counter_);
@@ -72,12 +57,6 @@ void Watchdog::step(Cycle now) {
     router_->post(src_timeout_);
     remaining_ = period_;
   }
-}
-
-Cycle Watchdog::next_activity_cycle(Cycle now) const {
-  if (period_ == 0) return kNoActivity;
-  // step() times out on the tick that takes remaining_ to zero.
-  return now + (remaining_ == 0 ? 1 : remaining_);
 }
 
 u32 Watchdog::read_sfr(u32 offset) {
@@ -187,13 +166,6 @@ void Adc::step(Cycle now) {
   }
 }
 
-Cycle Adc::next_activity_cycle(Cycle now) const {
-  Cycle next = kNoActivity;
-  if (period_ != 0) next = std::min(next, std::max(next_auto_, now + 1));
-  if (done_at_) next = std::min(next, std::max(*done_at_, now + 1));
-  return next;
-}
-
 u32 Adc::read_sfr(u32 offset) {
   switch (offset) {
     case 0x04: return result_;
@@ -238,13 +210,6 @@ void CanLite::step(Cycle now) {
     ++tx_frames_;
     router_->post(src_tx_);
   }
-}
-
-Cycle CanLite::next_activity_cycle(Cycle now) const {
-  Cycle next = kNoActivity;
-  if (rx_period_ != 0) next = std::min(next, std::max(next_rx_, now + 1));
-  if (tx_done_at_) next = std::min(next, std::max(*tx_done_at_, now + 1));
-  return next;
 }
 
 u32 CanLite::read_sfr(u32 offset) {

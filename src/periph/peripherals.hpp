@@ -6,6 +6,7 @@
 // dependent on real-time data like converted analog inputs".
 #pragma once
 
+#include <algorithm>
 #include <optional>
 
 #include "common/prng.hpp"
@@ -33,7 +34,20 @@ class Stm final : public SfrDevice {
   void write_sfr(u32 offset, u32 value) override;
 
   /// Earliest future cycle (> now) whose step() could post an interrupt.
-  Cycle next_activity_cycle(Cycle now) const;
+  Cycle next_activity_cycle(Cycle now) const {
+    Cycle next = kNoActivity;
+    for (int i = 0; i < 2; ++i) {
+      if ((ctrl_ & (1u << i)) == 0 || period_[i] == 0) continue;
+      // step() fires once counter_ reaches next_fire_; counter_ advances by
+      // one per step, so the compare lands (next_fire_ - counter_) steps out
+      // (immediately next step when the deadline already passed).
+      const Cycle at = next_fire_[i] > counter_
+                           ? now + (next_fire_[i] - counter_)
+                           : now + 1;
+      next = std::min(next, at);
+    }
+    return next;
+  }
   /// Bulk-advance over `n` idle cycles (caller guarantees no compare
   /// fires inside the window; see next_activity_cycle()).
   void skip(u64 n) { counter_ += n; }
@@ -88,7 +102,11 @@ class Watchdog final : public SfrDevice {
 
   /// Earliest future cycle whose step() could time out; kNoActivity when
   /// the watchdog is disabled.
-  Cycle next_activity_cycle(Cycle now) const;
+  Cycle next_activity_cycle(Cycle now) const {
+    if (period_ == 0) return kNoActivity;
+    // step() times out on the tick that takes remaining_ to zero.
+    return now + (remaining_ == 0 ? 1 : remaining_);
+  }
   /// Bulk-advance over `n` idle cycles (n < remaining ticks to timeout).
   void skip(u64 n) {
     if (period_ != 0) remaining_ -= static_cast<u32>(n);
@@ -232,7 +250,12 @@ class Adc final : public SfrDevice {
 
   /// Earliest future cycle whose step() starts or completes a conversion;
   /// kNoActivity when auto-trigger is off and no conversion is in flight.
-  Cycle next_activity_cycle(Cycle now) const;
+  Cycle next_activity_cycle(Cycle now) const {
+    Cycle next = kNoActivity;
+    if (period_ != 0) next = std::min(next, std::max(next_auto_, now + 1));
+    if (done_at_) next = std::min(next, std::max(*done_at_, now + 1));
+    return next;
+  }
   /// Bulk-advance over `n` idle cycles. Deadlines are absolute, so only
   /// the last-step bookkeeping moves.
   void skip(u64 n) { last_step_ += n; }
@@ -307,7 +330,12 @@ class CanLite final : public SfrDevice {
 
   /// Earliest future cycle whose step() delivers an RX frame or finishes
   /// a TX; kNoActivity when RX is off and no TX is serializing.
-  Cycle next_activity_cycle(Cycle now) const;
+  Cycle next_activity_cycle(Cycle now) const {
+    Cycle next = kNoActivity;
+    if (rx_period_ != 0) next = std::min(next, std::max(next_rx_, now + 1));
+    if (tx_done_at_) next = std::min(next, std::max(*tx_done_at_, now + 1));
+    return next;
+  }
   /// Bulk-advance over `n` idle cycles (deadlines are absolute).
   void skip(u64 n) { last_step_ += n; }
 
