@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
     args.apply(config);
     soc::Soc soc{config};
     profiling::ExecutionDag dag{isa::SymbolMap(w.program)};
-    if (with_dag) soc.set_frame_observer(&dag);
+    if (with_dag) soc.add_frame_observer(&dag);
     if (Status s = workload::install_engine(soc, w); !s.is_ok()) {
       std::fprintf(stderr, "install failed: %s\n", s.to_string().c_str());
       std::exit(1);
@@ -389,7 +389,7 @@ int main(int argc, char** argv) {
     args.apply(config);
     config.exec_tier = tier;
     soc::Soc soc{config};
-    soc.set_frame_observer(frames);
+    soc.add_frame_observer(frames);
     if (Status s = workload::install_engine(soc, bail_w); !s.is_ok()) {
       std::fprintf(stderr, "install failed: %s\n", s.to_string().c_str());
       std::exit(1);

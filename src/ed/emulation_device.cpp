@@ -40,23 +40,58 @@ double EmulationDevice::dap_bytes_per_cycle() const {
 
 void EmulationDevice::step() {
   soc_.step();
+  on_frame(soc_.frame());
+}
+
+u64 EmulationDevice::run(u64 max_cycles) {
+  // Unlike Soc::run, 0 runs nothing (tools call run(0) to only download
+  // and decode). A pending MCDS break (OCDS debug halt) pauses the device
+  // until the tool clears it: run() returns at once, like a hit
+  // breakpoint.
+  if (max_cycles == 0 || mcds_.break_requested()) return 0;
+  return soc_.run(max_cycles, this);
+}
+
+// The EEC's share of every cycle the product chip publishes, stepped or
+// windowed: MCDS observation, the DAP drain budget and the tracer's EEC
+// sample. The phase probe times the first two as kMcds; an attached
+// probe keeps superblock windows closed, so it only sees stepped cycles.
+// Returning false on an MCDS break request stops Soc::run on the very
+// cycle the trigger fired, in either fast-forward mode.
+bool EmulationDevice::on_frame(const mcds::ObservationFrame& frame) {
   telemetry::PhaseProbe* probe = soc_.phase_probe();
   if (probe != nullptr) probe->begin(telemetry::StepPhase::kMcds);
-  mcds_.observe(soc_.frame());
+  mcds_.observe(frame);
   if (config_.stream_drain) {
     drain_budget_ += dap_bytes_per_cycle();
     if (drain_budget_ >= 1.0) {
       const u64 whole = static_cast<u64>(drain_budget_);
-      const usize moved = emem_.drain(whole);
-      dap_drained_ += moved;
+      dap_drained_ += emem_.drain(whole);
       drain_budget_ -= static_cast<double>(whole);
     }
   }
   if (probe != nullptr) probe->end(telemetry::StepPhase::kMcds);
   if (soc::SocTracer* tracer = soc_.tracer(); tracer != nullptr) {
-    tracer->observe_eec(soc_.cycle(), emem_.occupancy_bytes(),
+    tracer->observe_eec(frame.cycle, emem_.occupancy_bytes(),
                         emem_.total_pushed_messages(),
                         mcds_.dropped_messages());
+  }
+  return !mcds_.break_requested();
+}
+
+// Idle skips stop short of periodic syncs and counter samples, so those
+// land in normally observed cycles. Stream-drain mode accrues a
+// fractional DAP budget every cycle, which has no O(1) replay: the
+// device steps its idle stretches.
+u64 EmulationDevice::idle_skip_limit(const mcds::ObservationFrame& idle) {
+  return config_.stream_drain ? 0 : mcds_.idle_skip_limit(idle);
+}
+
+void EmulationDevice::skip_idle(const mcds::ObservationFrame& idle, u64 n) {
+  mcds_.skip_idle(idle, n);
+  if (soc::SocTracer* tracer = soc_.tracer(); tracer != nullptr) {
+    tracer->skip_idle_eec(idle.cycle, idle.cycle + n, emem_.occupancy_bytes(),
+                          emem_.total_pushed_messages());
   }
 }
 
@@ -66,89 +101,6 @@ void EmulationDevice::register_metrics(
   mcds_.register_metrics(registry, "mcds");
   emem_.register_metrics(registry, "emem");
   registry.counter("dap", "bytes_drained", &dap_drained_);
-}
-
-// Per-frame EEC work for cycles executed inside a superblock window:
-// exactly what step() does after soc_.step(), minus the phase probe
-// (run_fast_window declines to open a window while a probe is attached).
-// Returning false on an MCDS break request ends the window so run() can
-// pause the device on the very cycle the trigger fired, as in stepped
-// mode.
-struct EmulationDevice::FastFrameSink final : soc::FrameSink {
-  EmulationDevice* ed = nullptr;
-
-  bool on_frame(const mcds::ObservationFrame& frame) override {
-    ed->mcds_.observe(frame);
-    if (ed->config_.stream_drain) {
-      ed->drain_budget_ += ed->dap_bytes_per_cycle();
-      if (ed->drain_budget_ >= 1.0) {
-        const u64 whole = static_cast<u64>(ed->drain_budget_);
-        ed->dap_drained_ += ed->emem_.drain(whole);
-        ed->drain_budget_ -= static_cast<double>(whole);
-      }
-    }
-    if (soc::SocTracer* tracer = ed->soc_.tracer(); tracer != nullptr) {
-      tracer->observe_eec(frame.cycle, ed->emem_.occupancy_bytes(),
-                          ed->emem_.total_pushed_messages(),
-                          ed->mcds_.dropped_messages());
-    }
-    return !ed->mcds_.break_requested();
-  }
-};
-
-u64 EmulationDevice::run(u64 max_cycles) {
-  u64 steps = 0;
-  FastFrameSink sink;
-  sink.ed = this;
-  // Fast-forward applies on the device level too, but the EEC bounds the
-  // windows: skips stop short of periodic syncs and counter samples so
-  // those land in normally observed cycles. Stream-drain mode accumulates
-  // a fractional DAP budget every cycle, which has no O(1) replay — the
-  // device falls back to stepping there.
-  const bool fast_forward =
-      soc_.config().fast_forward && !config_.stream_drain;
-  // A pending MCDS break (OCDS debug halt) pauses the device until the
-  // tool clears it — run() returns immediately, like a hit breakpoint.
-  while (steps < max_cycles && !soc_.tc().halted() &&
-         !mcds_.break_requested()) {
-    // Superblock fast tier: every windowed cycle's frame still reaches
-    // the EEC through the sink, so triggers, counters and the DAP budget
-    // advance exactly as in stepped mode (including stream-drain, whose
-    // fractional budget has no O(1) replay but a per-frame one).
-    steps += soc_.run_fast_window(max_cycles - steps, &sink);
-    if (steps >= max_cycles || soc_.tc().halted() || mcds_.break_requested()) {
-      break;
-    }
-    step();
-    ++steps;
-    if (!fast_forward || steps >= max_cycles) continue;
-    if (!soc_.tc().waiting() || !soc_.quiescent()) continue;
-    const Cycle from = soc_.cycle();
-    soc::WakeSource source = soc::WakeSource::kBudget;
-    const Cycle next = soc_.next_activity_cycle(&source);
-    if (next <= from + 1) continue;
-    u64 n = next - from - 1;
-    if (n >= max_cycles - steps) {
-      n = max_cycles - steps;
-      source = soc::WakeSource::kBudget;
-    }
-    // The frame a parked product chip publishes on every idle cycle
-    // (cores parked with kWfi/kHalted symptom and root, nothing else).
-    const mcds::ObservationFrame idle = soc_.make_idle_frame();
-    if (const u64 mcds_limit = mcds_.idle_skip_limit(idle); mcds_limit < n) {
-      n = mcds_limit;
-      source = soc::WakeSource::kMcds;
-    }
-    if (n == 0) continue;
-    soc_.skip_idle(n, source);
-    mcds_.skip_idle(idle, n);
-    if (soc::SocTracer* tracer = soc_.tracer(); tracer != nullptr) {
-      tracer->skip_idle_eec(from, from + n, emem_.occupancy_bytes(),
-                            emem_.total_pushed_messages());
-    }
-    steps += n;
-  }
-  return steps;
 }
 
 u32 EmulationDevice::tool_read32(Addr addr) {

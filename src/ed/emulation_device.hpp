@@ -30,7 +30,7 @@ struct EdConfig {
   bool stream_drain = false;
 };
 
-class EmulationDevice {
+class EmulationDevice : private soc::FrameSink {
  public:
   EmulationDevice(const soc::SocConfig& soc_config, mcds::McdsConfig mcds_config,
                   EdConfig ed_config);
@@ -48,7 +48,11 @@ class EmulationDevice {
   /// One clock cycle: product chip, then EEC observation, then DAP drain.
   void step();
 
-  /// Run until the TC halts or `max_cycles` elapse; returns cycles run.
+  /// Run until the TC halts, a trigger requests a break, the SoC
+  /// deadlocks in an idle park, or `max_cycles` elapse; returns cycles
+  /// run. This is soc::Soc::run with the EEC as its FrameSink, so the
+  /// device stops exactly where the bare product chip stops (and
+  /// kDefaultRunBudget caps it alike). `max_cycles` = 0 runs nothing.
   u64 run(u64 max_cycles);
 
   /// Bytes the DAP can move per CPU cycle (may be < 1).
@@ -98,9 +102,10 @@ class EmulationDevice {
   }
 
  private:
-  /// Adapter feeding superblock-window frames through the same EEC path
-  /// step() takes (MCDS observe, DAP drain, tracer); defined in the .cpp.
-  struct FastFrameSink;
+  // soc::FrameSink: the per-frame EEC work, for step() and Soc::run.
+  bool on_frame(const mcds::ObservationFrame& frame) override;
+  u64 idle_skip_limit(const mcds::ObservationFrame& idle) override;
+  void skip_idle(const mcds::ObservationFrame& idle, u64 n) override;
 
   soc::Soc soc_;
   mcds::Mcds mcds_;

@@ -61,12 +61,12 @@ void SafetyMonitor::react(AlarmKind kind, Cycle now) {
   ++reactions_fired_;
 }
 
-mcds::SafetyObservation SafetyMonitor::step_cycle(
-    Cycle now, const mcds::ObservationFrame& frame) {
+void SafetyMonitor::step_cycle(Cycle now, const mcds::ObservationFrame& frame,
+                               mcds::SafetyObservation& out) {
   // A quiet cycle (the common case) observes and counts nothing.
   if (!frame.sri.error_response && !frame.tc.trap_entry &&
       !frame.pcp.trap_entry && quiescent()) {
-    return mcds::SafetyObservation{};
+    return;
   }
   obs_.reset();
 
@@ -101,7 +101,7 @@ mcds::SafetyObservation SafetyMonitor::step_cycle(
     react(static_cast<AlarmKind>(k), now);
   }
   posted_ = false;
-  return obs_;
+  out = obs_;
 }
 
 bool SafetyMonitor::quiescent() const {

@@ -62,10 +62,19 @@ class SafetyMonitor {
     posted_ = true;
   }
 
-  /// End-of-cycle: fold in frame strobes, count alarms, apply reactions,
-  /// and return the cycle's safety observation. O(1) on a quiet cycle.
+  /// End-of-cycle: fold in frame strobes, count alarms and apply
+  /// reactions. A quiet cycle (the common case) is O(1) and writes
+  /// nothing, so `out` must arrive reset; any other cycle writes its
+  /// safety observation to `out` (the Soc passes its frame's section).
+  void step_cycle(Cycle now, const mcds::ObservationFrame& frame,
+                  mcds::SafetyObservation& out);
+  /// The same, returning the cycle's observation.
   mcds::SafetyObservation step_cycle(Cycle now,
-                                     const mcds::ObservationFrame& frame);
+                                     const mcds::ObservationFrame& frame) {
+    mcds::SafetyObservation obs;
+    step_cycle(now, frame, obs);
+    return obs;
+  }
 
   /// No posted-but-unstepped alarms and no unseen watchdog timeouts: a
   /// step_cycle() over frames with clear strobes would be an observable

@@ -42,12 +42,6 @@ struct SimJob {
   /// Cycle budget; 0 selects soc::Soc::kDefaultRunBudget so even a
   /// livelocked workload terminates with budget_exceeded set.
   u64 max_cycles = 0;
-  /// Warm fork: a boot image captured from an identical cold boot of the
-  /// same configuration shape (soc::Soc::save_snapshot at a quiescent
-  /// point). When set, run() restores it after reset and only simulates
-  /// the remaining cycles — bit-identical to the cold run, since the
-  /// snapshot round-trip is. Must outlive run(); shared read-only.
-  const soc::Snapshot* boot = nullptr;
 
   SimJobResult run() const {
     SimJobResult result;
@@ -60,20 +54,7 @@ struct SimJob {
     result.loaded = true;
     if (configure) configure(soc);
     soc.reset(tc_entry, pcp_entry);
-    const u64 budget =
-        max_cycles == 0 ? soc::Soc::kDefaultRunBudget : max_cycles;
-    if (boot != nullptr && boot->cycle < budget &&
-        soc.restore_snapshot(*boot).is_ok()) {
-      soc.run(budget - boot->cycle);
-    } else if (boot != nullptr) {
-      // A restore failure leaves the machine indeterminate: rebuild and
-      // run cold rather than report garbage.
-      return SimJob{config, program, tc_entry, pcp_entry,
-                    configure, max_cycles, nullptr}
-          .run();
-    } else {
-      soc.run(max_cycles);
-    }
+    soc.run(max_cycles);
     result.cycles = soc.cycle();
     result.instructions = soc.tc().retired();
     result.halted = soc.tc().halted();

@@ -37,7 +37,7 @@ ProfilingSession::ProfilingSession(const soc::SocConfig& soc_config,
 Status ProfilingSession::load(const isa::Program& program) {
   if (cpi_stacks_) {
     cpi_builder_ = std::make_unique<CpiStackBuilder>(isa::SymbolMap(program));
-    ed_.soc().set_frame_observer(cpi_builder_.get());
+    ed_.soc().add_frame_observer(cpi_builder_.get());
   }
   if (dag_enabled_) {
     dag_ = std::make_unique<ExecutionDag>(isa::SymbolMap(program));

@@ -88,7 +88,8 @@ class ProfilingSession {
                    const SessionOptions& options);
 
   /// Loads the image; with SessionOptions::cpi_stacks this also builds
-  /// the symbol map and attaches the CPI-stack builder to the SoC.
+  /// the symbol map and attaches the CPI-stack builder to the SoC (and
+  /// the DAG builder with SessionOptions::dag). Call once per session.
   Status load(const isa::Program& program);
   void reset(Addr tc_entry, Addr pcp_entry = 0) {
     ed_.reset(tc_entry, pcp_entry);

@@ -64,6 +64,18 @@ u32 read_mem_word(const void* ctx, u32 offset) {
   return static_cast<const mem::MemArray*>(ctx)->peek(offset, 4);
 }
 
+// The frame section of a parked (WFI or halted) core, written in place
+// over a reset section: building a local and copying it in stalls on
+// store forwarding, and the fast window does this on every entry.
+void write_parked(const cpu::Cpu& core, mcds::CoreObservation& obs) {
+  const bool halted = core.halted();
+  obs.present = true;
+  obs.stall = halted ? mcds::StallCause::kHalted : mcds::StallCause::kWfi;
+  obs.attr.symptom = obs.stall;
+  obs.attr.root =
+      halted ? mcds::StallRootCause::kHalted : mcds::StallRootCause::kWfi;
+}
+
 }  // namespace
 
 Soc::Soc(const SocConfig& config)
@@ -329,7 +341,7 @@ void Soc::step() {
   if (pcp_ != nullptr) {
     attribute_core_stall(*pcp_, frame_.pcp, pcp_stall_totals_);
   }
-  if (monitor_.enabled()) frame_.safety = monitor_.step_cycle(now, frame_);
+  if (monitor_.enabled()) monitor_.step_cycle(now, frame_, frame_.safety);
   // Service-request raises since the last publish (phases 1-4: peripheral
   // posts, DMA-done, SFR-written posts, safety alarms) become this
   // cycle's strobe record. take_raises clears the router's latch, so a
@@ -417,22 +429,10 @@ void Soc::attribute_core_stall(const cpu::Cpu& cpu, mcds::CoreObservation& obs,
 }
 
 mcds::ObservationFrame Soc::make_idle_frame() const {
-  using mcds::StallCause;
-  using mcds::StallRootCause;
   mcds::ObservationFrame idle;
   idle.cycle = cycle_;
-  idle.tc.present = true;
-  idle.tc.stall = tc_->halted() ? StallCause::kHalted : StallCause::kWfi;
-  idle.tc.attr.symptom = idle.tc.stall;
-  idle.tc.attr.root =
-      tc_->halted() ? StallRootCause::kHalted : StallRootCause::kWfi;
-  if (pcp_ != nullptr) {
-    idle.pcp.present = true;
-    idle.pcp.stall = pcp_->halted() ? StallCause::kHalted : StallCause::kWfi;
-    idle.pcp.attr.symptom = idle.pcp.stall;
-    idle.pcp.attr.root =
-        pcp_->halted() ? StallRootCause::kHalted : StallRootCause::kWfi;
-  }
+  write_parked(*tc_, idle.tc);
+  if (pcp_ != nullptr) write_parked(*pcp_, idle.pcp);
   return idle;
 }
 
@@ -558,31 +558,30 @@ Cycle Soc::next_activity_cycle(WakeSource* source) const {
   return best;
 }
 
-void Soc::skip_idle(u64 n, WakeSource source) {
+void Soc::skip_time_driven(u64 n) {
   stm_.skip(n);
   watchdog_.skip(n);
   crank_.skip(n);
   adc_.skip(n);
   can_.skip(n);
   pflash_.skip(n);
-  tc_->skip(n);
   if (pcp_ != nullptr) pcp_->skip(n);
+}
+
+void Soc::skip_idle(u64 n, WakeSource source, const mcds::ObservationFrame& idle,
+                    FrameSink* sink) {
+  skip_time_driven(n);
+  tc_->skip(n);
   // Attribution: each skipped cycle is exactly a parked-core cycle, so
   // the totals advance as n idle step()s would have advanced them.
-  tc_stall_totals_.cycles[static_cast<unsigned>(
-      tc_->halted() ? mcds::StallRootCause::kHalted
-                    : mcds::StallRootCause::kWfi)] += n;
+  tc_stall_totals_.cycles[static_cast<unsigned>(idle.tc.attr.root)] += n;
   if (pcp_ != nullptr) {
-    pcp_stall_totals_.cycles[static_cast<unsigned>(
-        pcp_->halted() ? mcds::StallRootCause::kHalted
-                       : mcds::StallRootCause::kWfi)] += n;
+    pcp_stall_totals_.cycles[static_cast<unsigned>(idle.pcp.attr.root)] += n;
   }
   if (tracer_ != nullptr) tracer_->skip_idle(cycle_, cycle_ + n);
-  if (!observers_.empty()) {
-    const mcds::ObservationFrame idle = make_idle_frame();
-    for (FrameObserver* obs : observers_) obs->skip_idle(idle, n);
-  }
+  for (FrameObserver* obs : observers_) obs->skip_idle(idle, n);
   cycle_ += n;
+  if (sink != nullptr) sink->skip_idle(idle, n);
   ff_stats_.skipped_cycles += n;
   ff_stats_.wakeups += 1;
   ff_stats_.wake_counts[static_cast<unsigned>(source)] += 1;
@@ -615,7 +614,7 @@ bool Soc::wake_impossible() const {
   return true;
 }
 
-u64 Soc::open_fast_window(u64 max_cycles, FrameSink* sink) {
+u64 Soc::open_fast_window(u64 max_cycles, FrameSink* sink, bool& stopped) {
   const auto gate = [this](FastGate reason) -> u64 {
     ++exec_stats_.gates[static_cast<unsigned>(reason)];
     return 0;
@@ -661,27 +660,18 @@ u64 Soc::open_fast_window(u64 max_cycles, FrameSink* sink) {
   frame_.sri.clear();
   frame_.flash = mem::PFlash::Strobes{};
   frame_.dma = mcds::DmaObservation{};
-  // Written in place: building a local and copying it in stalls on
-  // store forwarding, and this runs on every window entry.
   frame_.pcp.reset();
   unsigned pcp_root = 0;
   if (pcp_ != nullptr) {
-    mcds::CoreObservation& parked = frame_.pcp;
-    parked.present = true;
-    parked.stall = pcp_->halted() ? mcds::StallCause::kHalted
-                                  : mcds::StallCause::kWfi;
-    parked.attr.symptom = parked.stall;
-    parked.attr.root = pcp_->halted() ? mcds::StallRootCause::kHalted
-                                      : mcds::StallRootCause::kWfi;
-    pcp_root = static_cast<unsigned>(parked.attr.root);
+    write_parked(*pcp_, frame_.pcp);
+    pcp_root = static_cast<unsigned>(frame_.pcp.attr.root);
   }
   frame_.safety.reset();
   frame_.irq.reset();
 
   u64 ran = 0;
   bool open = true;
-  bool stop = false;
-  while (ran < bound && !stop) {
+  while (ran < bound && !stopped) {
     const Cycle now = cycle_ + 1;
     frame_.cycle = now;
     frame_.tc.reset();
@@ -699,13 +689,13 @@ u64 Soc::open_fast_window(u64 max_cycles, FrameSink* sink) {
     }
     if (tracer_ != nullptr) tracer_->observe(frame_);
     for (FrameObserver* obs : observers_) obs->observe(frame_);
-    if (sink != nullptr && !sink->on_frame(frame_)) stop = true;
+    if (sink != nullptr && !sink->on_frame(frame_)) stopped = true;
     if (fw.left_chunk) {
       // A taken control transfer left the chunk with a clean front end:
       // re-open on the target's chunk and keep going.
       tc_->fast_exit(fw);
       open = false;
-      if (!stop) {
+      if (!stopped) {
         if (tc_->fast_enter(fw)) {
           open = true;
           ++exec_stats_.windows;
@@ -721,31 +711,27 @@ u64 Soc::open_fast_window(u64 max_cycles, FrameSink* sink) {
   // skip_idle() does for idle stretches: the window bound guarantees no
   // peripheral had an activity cycle inside it, so skipping moves every
   // counter and deadline as `ran` stepped cycles would have.
-  if (ran != 0) {
-    stm_.skip(ran);
-    watchdog_.skip(ran);
-    crank_.skip(ran);
-    adc_.skip(ran);
-    can_.skip(ran);
-    pflash_.skip(ran);
-    if (pcp_ != nullptr) pcp_->skip(ran);
-  }
+  if (ran != 0) skip_time_driven(ran);
   exec_stats_.fast_cycles += ran;
   return ran;
 }
 
-u64 Soc::run(u64 max_cycles) {
+u64 Soc::run(u64 max_cycles, FrameSink* sink) {
   const u64 budget =
       max_cycles == 0 ? kDefaultRunBudget : std::min(max_cycles, kDefaultRunBudget);
   idle_deadlock_ = false;
   u64 steps = 0;
+  bool stopped = false;
   while (steps < budget && !tc_->halted()) {
     // Superblock fast tier: burn through straight-line execution before
     // falling back to the accurate stepper for the next cycle.
-    steps += run_fast_window(budget - steps);
-    if (steps >= budget || tc_->halted()) break;
+    steps += run_fast_window(budget - steps, sink, stopped);
+    if (stopped || steps >= budget || tc_->halted()) break;
     step();
     ++steps;
+    // The sink stops the run on the very cycle it asks to, before any
+    // idle skip, so where a run stops never depends on fast-forward.
+    if (sink != nullptr && !sink->on_frame(frame_)) break;
     // Idle handling. The waiting() check keeps the dense-execution path to
     // one predicted branch; quiescent() then confirms that every pipeline,
     // port and DMA unit has actually drained.
@@ -769,7 +755,15 @@ u64 Soc::run(u64 max_cycles) {
       idle = budget - steps;
       source = WakeSource::kBudget;
     }
-    skip_idle(idle, source);
+    const mcds::ObservationFrame idle_frame = make_idle_frame();
+    if (sink != nullptr) {
+      if (const u64 limit = sink->idle_skip_limit(idle_frame); limit < idle) {
+        if (limit == 0) continue;
+        idle = limit;
+        source = WakeSource::kMcds;
+      }
+    }
+    skip_idle(idle, source, idle_frame, sink);
     steps += idle;
   }
   return steps;

@@ -55,15 +55,24 @@ class FrameObserver {
   virtual void skip_idle(const mcds::ObservationFrame& idle, u64 n) = 0;
 };
 
-/// Per-cycle frame consumer for fast-window cycles with veto power: the
-/// Emulation Device feeds its MCDS from here. Returning false ends the
-/// window after the current cycle (trigger fired, drain budget reached);
-/// the cycle itself is already fully published. Plain observers can't
-/// stop a window, which is why this is a separate interface.
+/// The run loop's per-frame hook, with a say in how the run proceeds: the
+/// Emulation Device feeds its EEC from here (Soc::run(max_cycles, sink)).
+/// Plain observers can neither stop a run nor bound an idle skip, which
+/// is why this is a separate interface.
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
+  /// One stepped or windowed cycle, already fully published (tracer and
+  /// observers have seen it). Returning false ends the run on this cycle
+  /// (e.g. a trigger requested a break), before any idle skip.
   virtual bool on_frame(const mcds::ObservationFrame& frame) = 0;
+  /// How many idle cycles, each equivalent to `idle`, one skip may jump
+  /// over; 0 makes the run step them instead. A skip this sink cut short
+  /// is reported as WakeSource::kMcds.
+  virtual u64 idle_skip_limit(const mcds::ObservationFrame& idle) = 0;
+  /// `n` skipped idle cycles after `idle.cycle`, each equivalent to
+  /// observing `idle`; `n` never exceeds idle_skip_limit(idle).
+  virtual void skip_idle(const mcds::ObservationFrame& idle, u64 n) = 0;
 };
 
 /// Cumulative per-core stall-attribution buckets (one counter per
@@ -90,7 +99,7 @@ enum class WakeSource : u8 {
   kAdc,
   kCan,
   kFault,
-  kMcds,    // EEC bounded the window (periodic sync / counter sample)
+  kMcds,    // the run's FrameSink bounded the window (EEC: sync, sample)
   kBudget,  // the run budget expired before the next activity
   kCount,
 };
@@ -178,46 +187,16 @@ class Soc {
   static constexpr u64 kDefaultRunBudget = 200'000'000;
 
   /// Run until the TC halts or `max_cycles` elapse; returns cycles run.
-  /// `max_cycles` = 0 selects kDefaultRunBudget. With
-  /// SocConfig::fast_forward (the default) idle stretches are jumped in
-  /// O(1) — bit-identical to stepping them — and a WFI park with no
-  /// enabled wake source returns immediately with idle_deadlock() set
-  /// (in both modes) instead of burning the budget.
-  u64 run(u64 max_cycles = 0);
-
-  // ---- superblock fast tier (DESIGN.md, "Execution tiers") -----------
-
-  /// Execute up to `max_cycles` cycles through the superblock fast tier,
-  /// publishing a bit-identical ObservationFrame for every cycle (tracer,
-  /// observers and `sink` all fire per cycle). Returns the cycles run —
-  /// 0 whenever the machine state doesn't admit a window (wrong tier,
-  /// fault injector attached, bus traffic, no superblock at the PC, ...),
-  /// in which case the caller just step()s. `sink` may end the window
-  /// early by returning false. run() calls this at the top of its loop;
-  /// the Emulation Device calls it with its MCDS sink. Inline up to the
-  /// core-local check, so the usual decline on bail-heavy code costs a
-  /// few loads and no call.
-  u64 run_fast_window(u64 max_cycles, FrameSink* sink = nullptr) {
-    if (config_.exec_tier != SocConfig::ExecTier::kSuperblock ||
-        max_cycles == 0) {
-      return 0;
-    }
-    // Window invariants (see cpu_fast.cpp): nothing outside the TC may
-    // act during the window. A fault injector disables the tier outright;
-    // the phase probe times step() phases that don't exist in a window.
-    if (injector_ != nullptr || probe_ != nullptr) {
-      ++exec_stats_.gates[static_cast<unsigned>(FastGate::kInstrumented)];
-      return 0;
-    }
-    // Core-local preconditions next: O(1), and on bail-heavy code the
-    // usual reason to decline, so a declined entry never pays for the
-    // SoC-wide gates or next_activity_cycle(). fast_enter() repeats them.
-    if (const cpu::FastBail b = tc_->fast_drained(); b != cpu::FastBail::kNone) {
-      ++exec_stats_.bails[static_cast<unsigned>(b)];
-      return 0;
-    }
-    return open_fast_window(max_cycles, sink);
-  }
+  /// `max_cycles` = 0 selects kDefaultRunBudget, which also caps larger
+  /// requests. This is the only run loop: it interleaves superblock
+  /// windows (DESIGN.md, "Execution tiers"), stepped cycles and idle
+  /// skips. With SocConfig::fast_forward (the default) idle stretches are
+  /// jumped in O(1) — bit-identical to stepping them — and a WFI park
+  /// with no enabled wake source returns immediately with idle_deadlock()
+  /// set (in both modes) instead of burning the budget. `sink`, if set,
+  /// sees every stepped and windowed frame, may stop the run on any of
+  /// them, and bounds each idle skip (see FrameSink).
+  u64 run(u64 max_cycles = 0, FrameSink* sink = nullptr);
 
   /// Invalidate predecoded superblocks overlapping [addr, addr+bytes).
   /// Flash aliases are normalised, so a write through either the cached
@@ -236,19 +215,6 @@ class Soc {
   /// and an empty bus fabric. Peripheral timers keep counting; their next
   /// event bounds the skippable window.
   bool quiescent() const;
-
-  /// Earliest future cycle at which any time-driven component does
-  /// something (peripheral compare/deadline, crank tooth, scheduled
-  /// fault). `source`, if non-null, receives the component that owns the
-  /// minimum.
-  Cycle next_activity_cycle(WakeSource* source = nullptr) const;
-
-  /// Bulk-advance a quiescent SoC by `n` cycles in O(1): every relative
-  /// counter and deadline moves exactly as `n` idle step() calls would
-  /// have moved it, and the tracer's sampling schedule is replayed.
-  /// Callers must keep `n` below the distance to next_activity_cycle().
-  /// `source` labels what bounded the window in ff_stats().
-  void skip_idle(u64 n, WakeSource source = WakeSource::kBudget);
 
   /// The last run() ended because the SoC went quiescent with no enabled
   /// wake source left (WFI park forever): no pending fault events, no
@@ -351,20 +317,12 @@ class Soc {
   SocTracer* tracer() { return tracer_; }
 
   /// Attach a per-cycle frame observer (CPI-stack builder, DAG builder).
-  /// Receives the published frame after every step() and a bulk
-  /// notification for each fast-forwarded idle window. Replaces the whole
-  /// observer list (nullptr detaches everything); use add_frame_observer
-  /// to stack several.
-  void set_frame_observer(FrameObserver* observer) {
-    observers_.clear();
-    if (observer != nullptr) observers_.push_back(observer);
-  }
-  /// Append an observer; notification order is attachment order.
+  /// Receives the published frame after every stepped and windowed cycle
+  /// and a bulk notification for each fast-forwarded idle window.
+  /// Observers stack; notification order is attachment order. nullptr is
+  /// ignored.
   void add_frame_observer(FrameObserver* observer) {
     if (observer != nullptr) observers_.push_back(observer);
-  }
-  FrameObserver* frame_observer() {
-    return observers_.empty() ? nullptr : observers_.front();
   }
 
   // ---- stall attribution (DESIGN.md, "Stall attribution & interference
@@ -376,12 +334,6 @@ class Soc {
   /// core's cycle count.
   const StallTotals& tc_stall_totals() const { return tc_stall_totals_; }
   const StallTotals& pcp_stall_totals() const { return pcp_stall_totals_; }
-
-  /// The observation frame a skipped idle cycle is equivalent to: cores
-  /// parked (kWfi/kHalted, attributed likewise), empty fabric, no
-  /// strobes. Used by the fast-forward paths (EmulationDevice, frame
-  /// observers) so idle windows feed triggers/counters bit-identically.
-  mcds::ObservationFrame make_idle_frame() const;
 
   /// Attach a host phase profiler timing each step() phase.
   void set_phase_probe(telemetry::PhaseProbe* probe) { probe_ = probe; }
@@ -435,9 +387,70 @@ class Soc {
   };
   CodeWriteInvalidator pspr_invalidator_;
 
+  // ---- the parts of run() --------------------------------------------
+
+  /// Execute up to `max_cycles` cycles through the superblock fast tier,
+  /// publishing a bit-identical ObservationFrame for every cycle (tracer,
+  /// observers and `sink` all fire per cycle). Returns the cycles run —
+  /// 0 whenever the machine state doesn't admit a window (wrong tier,
+  /// fault injector attached, bus traffic, no superblock at the PC, ...),
+  /// in which case run() just step()s. When `sink` rejects a frame the
+  /// window ends after that cycle and `stopped` is set. Inline up to the
+  /// core-local check, so the usual decline on bail-heavy code costs a
+  /// few loads and no call.
+  u64 run_fast_window(u64 max_cycles, FrameSink* sink, bool& stopped) {
+    if (config_.exec_tier != SocConfig::ExecTier::kSuperblock ||
+        max_cycles == 0) {
+      return 0;
+    }
+    // Window invariants (see cpu_fast.cpp): nothing outside the TC may
+    // act during the window. A fault injector disables the tier outright;
+    // the phase probe times step() phases that don't exist in a window.
+    if (injector_ != nullptr || probe_ != nullptr) {
+      ++exec_stats_.gates[static_cast<unsigned>(FastGate::kInstrumented)];
+      return 0;
+    }
+    // Core-local preconditions next: O(1), and on bail-heavy code the
+    // usual reason to decline, so a declined entry never pays for the
+    // SoC-wide gates or next_activity_cycle(). fast_enter() repeats them.
+    if (const cpu::FastBail b = tc_->fast_drained(); b != cpu::FastBail::kNone) {
+      ++exec_stats_.bails[static_cast<unsigned>(b)];
+      return 0;
+    }
+    return open_fast_window(max_cycles, sink, stopped);
+  }
+
   /// run_fast_window() past the core-local check: the SoC-wide gates,
   /// the window bound, fast_enter() and the window loop.
-  u64 open_fast_window(u64 max_cycles, FrameSink* sink);
+  u64 open_fast_window(u64 max_cycles, FrameSink* sink, bool& stopped);
+
+  /// Earliest future cycle at which any time-driven component does
+  /// something (peripheral compare/deadline, crank tooth, scheduled
+  /// fault). `source`, if non-null, receives the component that owns the
+  /// minimum.
+  Cycle next_activity_cycle(WakeSource* source = nullptr) const;
+
+  /// The observation frame a skipped idle cycle is equivalent to: cores
+  /// parked (kWfi/kHalted, attributed likewise), empty fabric, no
+  /// strobes. Idle skips feed it to observers and the sink so triggers,
+  /// counters and aggregates stay bit-identical to stepping.
+  mcds::ObservationFrame make_idle_frame() const;
+
+  /// Bulk-advance a quiescent SoC by `n` cycles in O(1): every relative
+  /// counter and deadline moves exactly as `n` idle step() calls would
+  /// have moved it, the tracer's sampling schedule is replayed, and
+  /// observers and `sink` get `idle` (= make_idle_frame()) n times in
+  /// bulk. `n` must stay below the distance to next_activity_cycle() and
+  /// within the sink's idle_skip_limit(). `source` labels what bounded
+  /// the window in ff_stats().
+  void skip_idle(u64 n, WakeSource source, const mcds::ObservationFrame& idle,
+                 FrameSink* sink);
+
+  /// Advance the time-driven components other than the TC (peripheral
+  /// timers, PFlash, the parked PCP) by `n` cycles through their O(1)
+  /// skip(n): after an idle skip and after a fast window, neither of
+  /// which stepped them.
+  void skip_time_driven(u64 n);
 
   /// Provably no wake source can ever fire again (idle-deadlock scan);
   /// call only while quiescent() holds.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string_view>
 
 #include "ed/emulation_device.hpp"
@@ -31,6 +32,35 @@ struct RunResult {
   u32 a(unsigned i) const { return soc->tc().a(i); }
   bool halted() const { return soc->tc().halted(); }
 };
+
+/// One point of the exec tier x fast-forward grid, for tests that must
+/// hold in every run mode. Prints as e.g. "superblock_ff" in test names.
+struct RunMode {
+  soc::SocConfig::ExecTier tier = soc::SocConfig::ExecTier::kSuperblock;
+  bool fast_forward = true;
+
+  soc::SocConfig config() const {
+    soc::SocConfig c = small_config();
+    c.exec_tier = tier;
+    c.fast_forward = fast_forward;
+    return c;
+  }
+};
+
+inline void PrintTo(const RunMode& m, std::ostream* os) {
+  *os << (m.tier == soc::SocConfig::ExecTier::kSuperblock ? "superblock"
+                                                          : "accurate")
+      << (m.fast_forward ? "_ff" : "_noff");
+}
+
+/// All four run modes, for INSTANTIATE_TEST_SUITE_P.
+inline auto all_run_modes() {
+  using Tier = soc::SocConfig::ExecTier;
+  return ::testing::Values(RunMode{Tier::kSuperblock, true},
+                           RunMode{Tier::kSuperblock, false},
+                           RunMode{Tier::kAccurate, true},
+                           RunMode{Tier::kAccurate, false});
+}
 
 /// Assemble `source`, load it into a SoC with `config`, run to halt (or
 /// `max_cycles`). Fails the test on assembly/load errors.

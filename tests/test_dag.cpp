@@ -78,7 +78,7 @@ TEST(ExecutionDag, EngineConservationAndCriticalPath) {
 
   soc::Soc soc(test::small_config());
   ExecutionDag dag{isa::SymbolMap(built.value().program)};
-  soc.set_frame_observer(&dag);
+  soc.add_frame_observer(&dag);
   ASSERT_TRUE(workload::install_engine(soc, built.value()).is_ok());
   soc.run(5'000'000);
   ASSERT_TRUE(soc.tc().halted());
@@ -106,7 +106,7 @@ TEST(ExecutionDag, TransmissionConservation) {
 
   soc::Soc soc(test::small_config());
   ExecutionDag dag{isa::SymbolMap(built.value().program)};
-  soc.set_frame_observer(&dag);
+  soc.add_frame_observer(&dag);
   ASSERT_TRUE(workload::install_transmission(soc, built.value()).is_ok());
   soc.run(5'000'000);
   ASSERT_TRUE(soc.tc().halted());
@@ -165,7 +165,7 @@ TEST(ExecutionDag, NestedIrqPreemptionAndResumeEdges) {
   ASSERT_TRUE(program.is_ok()) << program.status().to_string();
   soc::Soc soc(test::small_config());
   ExecutionDag dag{isa::SymbolMap(program.value())};
-  soc.set_frame_observer(&dag);
+  soc.add_frame_observer(&dag);
   ASSERT_TRUE(soc.load(program.value()).is_ok());
   soc.irq_router().configure(soc.srcs().stm0, 10, periph::IrqTarget::kTc);
   soc.irq_router().configure(soc.srcs().stm1, 20, periph::IrqTarget::kTc);
@@ -216,7 +216,7 @@ TEST(ExecutionDag, LabelsAndHashAreDeterministic) {
   for (int rep = 0; rep < 2; ++rep) {
     soc::Soc soc(test::small_config());
     ExecutionDag dag{isa::SymbolMap(built.value().program)};
-    soc.set_frame_observer(&dag);
+    soc.add_frame_observer(&dag);
     ASSERT_TRUE(workload::install_engine(soc, built.value()).is_ok());
     soc.run(5'000'000);
     ASSERT_TRUE(soc.tc().halted());
@@ -250,7 +250,7 @@ TEST(ExecutionDag, SlackBoundsOptimizationHeadroom) {
 
   soc::Soc soc(test::small_config());
   ExecutionDag dag{isa::SymbolMap(built.value().program)};
-  soc.set_frame_observer(&dag);
+  soc.add_frame_observer(&dag);
   ASSERT_TRUE(workload::install_engine(soc, built.value()).is_ok());
   soc.run(5'000'000);
   ASSERT_TRUE(soc.tc().halted());
@@ -294,7 +294,7 @@ u64 engine_dag_hash(bool fast_forward) {
   config.fast_forward = fast_forward;
   soc::Soc soc(config);
   ExecutionDag dag{isa::SymbolMap(built.value().program)};
-  soc.set_frame_observer(&dag);
+  soc.add_frame_observer(&dag);
   EXPECT_TRUE(workload::install_engine(soc, built.value()).is_ok());
   soc.run(5'000'000);
   EXPECT_TRUE(soc.tc().halted());

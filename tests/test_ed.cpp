@@ -5,6 +5,7 @@
 
 #include "ed/emulation_device.hpp"
 #include "helpers.hpp"
+#include "isa/assembler.hpp"
 #include "mem/memory_map.hpp"
 #include "workload/kernels.hpp"
 
@@ -159,6 +160,60 @@ TEST(EmulationDevice, RingModeKeepsTheTail) {
   const Cycle last = decoded.value().back().cycle;
   EXPECT_GT(last, ed.soc().cycle() * 9 / 10);
 }
+
+// ---- one run loop: the device stops where the bare chip stops ---------
+
+constexpr std::string_view kParkForever = R"(
+    .text 0xC8000000
+main:
+    di
+    wfi
+    halt
+)";
+
+class EdRunLoop : public ::testing::TestWithParam<test::RunMode> {};
+
+TEST_P(EdRunLoop, IdleDeadlockStopsAtTheBareChipsCycle) {
+  // A WFI park with no wake source left: the bare chip reports
+  // idle_deadlock() at once, and so must the device wrapping it.
+  const soc::SocConfig config = GetParam().config();
+  auto program = isa::assemble(kParkForever);
+  ASSERT_TRUE(program.is_ok());
+
+  soc::Soc bare(config);
+  ASSERT_TRUE(bare.load(program.value()).is_ok());
+  bare.reset(program.value().entry());
+  const u64 bare_ran = bare.run(10'000'000);
+  ASSERT_TRUE(bare.idle_deadlock());
+
+  ed::EmulationDevice ed(config, full_trace_config(), default_ed());
+  ASSERT_TRUE(ed.load(program.value()).is_ok());
+  ed.reset(program.value().entry());
+  const u64 ran = ed.run(10'000'000);
+  EXPECT_TRUE(ed.soc().idle_deadlock());
+  EXPECT_FALSE(ed.soc().tc().halted());
+  EXPECT_LT(ran, 1'000u);
+  EXPECT_EQ(ran, bare_ran);
+  EXPECT_EQ(ed.soc().cycle(), bare.cycle());
+}
+
+TEST_P(EdRunLoop, RunZeroRunsNothing) {
+  // Tools call run(0) to only download and decode: unlike Soc::run(0),
+  // which selects the default budget, the device must not step.
+  auto program = workload::build_sort(24);
+  ASSERT_TRUE(program.is_ok());
+  ed::EmulationDevice ed(GetParam().config(), full_trace_config(),
+                         default_ed());
+  ASSERT_TRUE(ed.load(program.value()).is_ok());
+  ed.reset(program.value().entry());
+  EXPECT_EQ(ed.run(0), 0u);
+  EXPECT_EQ(ed.soc().cycle(), 0u);
+  ASSERT_EQ(ed.run(500), 500u);
+  EXPECT_EQ(ed.run(0), 0u);
+  EXPECT_EQ(ed.soc().cycle(), 500u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, EdRunLoop, test::all_run_modes());
 
 TEST(EmulationDevice, CalibrationOverlayHoldsData) {
   ed::EmulationDevice ed(test::small_config(), mcds::McdsConfig{},

@@ -55,7 +55,7 @@ Observed run_tier(const Workload& w, Install install, ExecTier tier,
   soc::Soc soc(config);
   profiling::CpiStackBuilder cpi{isa::SymbolMap(w.program)};
   FrameHasher hasher;
-  soc.set_frame_observer(&cpi);
+  soc.add_frame_observer(&cpi);
   soc.add_frame_observer(&hasher);
   telemetry::MetricsRegistry registry;
   soc.register_metrics(registry);
@@ -260,7 +260,7 @@ TEST(ExecTier, DagHashBitIdentical) {
     config.exec_tier = tier;
     soc::Soc soc(config);
     profiling::ExecutionDag dag{isa::SymbolMap(w.program)};
-    soc.set_frame_observer(&dag);
+    soc.add_frame_observer(&dag);
     ASSERT_TRUE(workload::install_engine(soc, w).is_ok());
     soc.run(5'000'000);
     EXPECT_TRUE(soc.tc().halted());
@@ -353,7 +353,7 @@ TEST(ExecTier, SelfModifyingCodeBitIdentical) {
     config.exec_tier = tier;
     soc::Soc soc(config);
     FrameHasher hasher;
-    soc.set_frame_observer(&hasher);
+    soc.add_frame_observer(&hasher);
     ASSERT_TRUE(soc.load(program.value()).is_ok());
     soc.reset(program.value().entry());
     const unsigned i = tier == ExecTier::kSuperblock ? 0 : 1;

@@ -164,6 +164,40 @@ TEST(McdsBreak, NoBreakWithoutTrigger) {
   EXPECT_TRUE(ed.soc().tc().halted());
 }
 
+class McdsBreakModes : public ::testing::TestWithParam<test::RunMode> {};
+
+TEST_P(McdsBreakModes, PausesOnTheTriggerCycleOfAWfi) {
+  // The trigger fires on the cycle the WFI retires. The device must
+  // pause right there, not after an idle skip, whatever the run mode.
+  auto program = isa::assemble(R"(
+    .text 0xC8000000
+main:
+    di
+park:
+    wfi
+    halt
+)");
+  ASSERT_TRUE(program.is_ok());
+  const Addr park = program.value().symbol_addr("park").value();
+  mcds::McdsConfig cfg;
+  cfg.comparators = {mcds::Comparator{mcds::CoreSel::kTc,
+                                      mcds::CompareField::kRetirePc, park,
+                                      park, -1}};
+  cfg.actions = {mcds::ActionBinding{mcds::Equation::comparator(0),
+                                     mcds::TriggerAction::kBreak, 0}};
+  ed::EmulationDevice ed(GetParam().config(), cfg, ed::EdConfig{});
+  ASSERT_TRUE(ed.load(program.value()).is_ok());
+  ed.reset(program.value().entry());
+  ed.run(10'000'000);
+
+  ASSERT_TRUE(ed.mcds().break_requested());
+  EXPECT_EQ(ed.soc().cycle(), ed.mcds().break_cycle());
+  EXPECT_LT(ed.soc().cycle(), 100u);
+  // A pending break keeps the device paused.
+  EXPECT_EQ(ed.run(10'000'000), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, McdsBreakModes, test::all_run_modes());
 
 TEST(Listing, ReconstructsExecutedInstructions) {
   auto program = isa::assemble(R"(

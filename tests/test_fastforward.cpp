@@ -52,7 +52,7 @@ Observed run_soc(const Workload& w, Install install, bool fast_forward,
   config.fast_forward = fast_forward;
   soc::Soc soc(config);
   profiling::CpiStackBuilder cpi{isa::SymbolMap(w.program)};
-  soc.set_frame_observer(&cpi);
+  soc.add_frame_observer(&cpi);
   telemetry::MetricsRegistry registry;
   soc.register_metrics(registry);
   EXPECT_TRUE(install(soc, w).is_ok());

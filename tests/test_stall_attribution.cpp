@@ -78,7 +78,7 @@ TEST(StallAttribution, EngineWorkloadConservation) {
 
   soc::Soc soc(test::small_config());
   profiling::CpiStackBuilder builder{isa::SymbolMap(built.value().program)};
-  soc.set_frame_observer(&builder);
+  soc.add_frame_observer(&builder);
   ASSERT_TRUE(workload::install_engine(soc, built.value()).is_ok());
   soc.run(5'000'000);
   ASSERT_TRUE(soc.tc().halted());
@@ -103,7 +103,7 @@ TEST(StallAttribution, TransmissionWorkloadConservation) {
 
   soc::Soc soc(test::small_config());
   profiling::CpiStackBuilder builder{isa::SymbolMap(built.value().program)};
-  soc.set_frame_observer(&builder);
+  soc.add_frame_observer(&builder);
   ASSERT_TRUE(workload::install_transmission(soc, built.value()).is_ok());
   soc.run(5'000'000);
   ASSERT_TRUE(soc.tc().halted());
