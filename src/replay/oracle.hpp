@@ -16,12 +16,12 @@
 //    and per-scenario outcome rows; the first differing scenario is
 //    reported.
 //
-// Reaching the divergent window is accelerated with soc::Snapshot
-// checkpoints: plain-soc replays run chunked at window boundaries,
-// saving a rolling checkpoint at each quiescent boundary, so the
-// frame-by-frame re-step restores the nearest checkpoint instead of
-// re-booting from reset. Session replays (MCDS instrumentation attached)
-// fall back to a cold re-run bounded at the divergent window's end.
+// Plain and session goldens take one path: the test run is one
+// uninterrupted run of the scenario (under the recorded ProfilingSession
+// for session goldens), checked against the golden windows afterwards.
+// On a mismatch the reference and the test config are each re-stepped
+// cold from reset to the end of the divergent window, through the same
+// run function, with a per-cycle frame capture attached.
 #pragma once
 
 #include <string>
@@ -78,8 +78,6 @@ struct Divergence {
   u64 window_end = 0;    // one past the last cycle
   u64 cycle = 0;         // first divergent cycle (kind == "frame")
   bool frame_missing = false;
-  bool checkpoint_used = false;
-  u64 checkpoint_cycle = 0;
   std::vector<std::string> components;  // divergent component sub-digests
   std::vector<FieldDiff> fields;
   std::vector<ContextRow> context;

@@ -89,8 +89,7 @@ class WindowedFrameDigest final : public FrameObserver {
   const std::vector<Window>& finish();
 
   /// Windows flushed so far (the currently open window is not included
-  /// until the stream crosses its boundary or finish() is called). The
-  /// replay oracle verifies these online while the run is still going.
+  /// until the stream crosses its boundary or finish() is called).
   const std::vector<Window>& windows() const { return windows_; }
 
   /// Digest over all window digests (order-sensitive) — the one-value

@@ -1,10 +1,10 @@
-// Record/replay regression lab tests (ISSUE 10): ReplaySpec JSON
-// round-tripping and strict rejection of corrupt goldens, the
-// differential replay oracle passing bit-identically on honest reruns
-// under either exec tier and fast-forward setting, seeded architecture
-// mutations caught at the independently-verified first divergent cycle,
-// and snapshot-accelerated bisection restoring a quiescent checkpoint
-// instead of re-booting.
+// Record/replay regression lab tests: ReplaySpec JSON round-tripping
+// and strict rejection of corrupt goldens, the differential replay
+// oracle passing bit-identically on honest reruns under either exec tier
+// and fast-forward setting, and seeded architecture mutations caught at
+// the independently verified first divergent cycle — early or late in
+// the run, in every host mode, from plain-SoC and profiling-session
+// goldens alike.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "profiling/session.hpp"
 #include "replay/oracle.hpp"
 #include "replay/replay.hpp"
 #include "soc/frame_digest.hpp"
@@ -32,9 +33,9 @@ workload::EngineOptions busy_engine_options() {
 }
 
 // Idle-background engine with the CAN ring in the LMU: WFI park between
-// interrupts (quiescent checkpoints exist) and the first LMU access only
-// happens when the first CAN frame arrives (can_rx_period cycles in) —
-// an lmu_latency mutation therefore first diverges windows into the run.
+// interrupts (idle skips happen) and the first LMU access only happens
+// when the first CAN frame arrives (can_rx_period cycles in) — an
+// lmu_latency mutation therefore first diverges windows into the run.
 workload::EngineOptions idle_lmu_engine_options() {
   workload::EngineOptions opt;
   opt.idle_background = true;
@@ -89,6 +90,48 @@ replay::ReplaySpec record_plain(const soc::SocConfig& cfg,
   spec.digests.stream = recorder.stream_digest();
   spec.cycles = soc.cycle();
   spec.instructions = soc.tc().retired();
+  return spec;
+}
+
+// Record a session golden of an engine scenario: the same capture
+// audo-profile --record performs, the digest attached to the SoC inside
+// a ProfilingSession that also yields the MCDS and DAG digests.
+replay::ReplaySpec record_session(const soc::SocConfig& cfg,
+                                  const replay::ScenarioSpec& scenario,
+                                  const profiling::SessionOptions& options,
+                                  u32 window_bits) {
+  auto built = workload::build_engine_workload(scenario.engine);
+  EXPECT_TRUE(built.is_ok()) << built.status().to_string();
+  profiling::ProfilingSession session(cfg, options);
+  EXPECT_TRUE(session.load(built.value().program).is_ok());
+  workload::configure_engine(session.device().soc(), scenario.engine);
+  soc::WindowedFrameDigest recorder(window_bits);
+  session.device().soc().add_frame_observer(&recorder);
+  session.reset(built.value().tc_entry, built.value().pcp_entry);
+  const profiling::SessionResult result = session.run(scenario.run_cycles);
+  recorder.finish();
+
+  replay::ReplaySpec spec;
+  spec.name = scenario.kind;
+  spec.scenario = scenario;
+  spec.scenario.session.enabled = true;
+  spec.scenario.session.resolution = options.resolution;
+  spec.scenario.session.program_trace = options.program_trace;
+  spec.scenario.session.irq_trace = options.irq_trace;
+  spec.scenario.session.dag = options.dag;
+  spec.config = cfg;
+  spec.config_fingerprint = cfg.fingerprint();
+  spec.cycles = session.device().soc().cycle();
+  spec.instructions = session.device().soc().tc().retired();
+  spec.digests.window_bits = window_bits;
+  spec.digests.total_frames = recorder.total_frames();
+  spec.digests.stream = recorder.stream_digest();
+  spec.digests.windows = recorder.windows();
+  spec.digests.mcds_messages = result.messages.size();
+  spec.digests.mcds_hash = replay::hash_messages(result.messages);
+  if (session.dag() != nullptr) {
+    spec.digests.dag_hash = session.dag()->analysis().hash;
+  }
   return spec;
 }
 
@@ -525,14 +568,31 @@ TEST(ReplayOracle, UnknownMutationKnobIsRejected) {
   EXPECT_EQ(good.pflash.wait_states, 6u);
 }
 
-// ---- snapshot-accelerated bisection ------------------------------------
+// ---- bisection late in the run ----------------------------------------
+
+struct HostMode {
+  const char* tier;
+  int ff;
+};
+constexpr HostMode kHostModes[] = {{"superblock", 1},
+                                   {"accurate", 1},
+                                   {"superblock", 0},
+                                   {"accurate", 0}};
+
+soc::SocConfig in_host_mode(soc::SocConfig cfg, const HostMode& m) {
+  cfg.exec_tier = std::string(m.tier) == "accurate"
+                      ? soc::SocConfig::ExecTier::kAccurate
+                      : soc::SocConfig::ExecTier::kSuperblock;
+  cfg.fast_forward = m.ff != 0;
+  return cfg;
+}
 
 // The LMU is first touched by the CAN RX ISR (can_rx_period cycles in),
-// so an lmu_latency mutation diverges windows into the run; the idle
-// background parks in WFI so quiescent window-boundary checkpoints
-// exist. The bisection must restore one instead of re-booting, under
-// either exec tier and with fast-forward on or off.
-TEST(ReplayBisect, ChecksFromQuiescentCheckpointInLateWindow) {
+// so an lmu_latency mutation diverges windows into the run, after idle
+// skips. Under either exec tier and with fast-forward on or off, the
+// bisection must name the first cycle at which an independent run of the
+// mutated config differs from one of the recorded config.
+TEST(ReplayBisect, FindsLateWindowDivergenceInEveryHostMode) {
   replay::ScenarioSpec scenario;
   scenario.kind = "engine";
   scenario.engine = idle_lmu_engine_options();
@@ -540,13 +600,11 @@ TEST(ReplayBisect, ChecksFromQuiescentCheckpointInLateWindow) {
   const soc::SocConfig cfg;
   const replay::ReplaySpec spec = record_plain(cfg, scenario, 10);
   const u64 win = u64{1} << 10;
+  soc::SocConfig mutated = cfg;
+  ASSERT_TRUE(replay::apply_mutation(mutated, "lmu_latency", 12).is_ok());
+  const std::vector<u64> recorded = fingerprint_run(cfg, scenario);
 
-  struct Mode {
-    const char* tier;
-    int ff;
-  };
-  for (const Mode& m : {Mode{"superblock", 1}, Mode{"accurate", 1},
-                        Mode{"superblock", 0}, Mode{"accurate", 0}}) {
+  for (const HostMode& m : kHostModes) {
     replay::OracleOptions opts;
     opts.exec_tier = m.tier;
     opts.fast_forward = m.ff;
@@ -558,18 +616,68 @@ TEST(ReplayBisect, ChecksFromQuiescentCheckpointInLateWindow) {
     ASSERT_TRUE(r.divergence.found);
     EXPECT_EQ(r.divergence.kind, "frame") << r.format();
     // The first CAN frame arrives can_rx_period (9000) cycles in: the
-    // divergence sits windows past cycle 0 and the re-step must have
-    // started from a quiescent checkpoint, not from reset.
+    // divergence sits windows past cycle 0.
     EXPECT_GT(r.divergence.window_index, 0u);
     EXPECT_GT(r.divergence.cycle, win);
-    EXPECT_TRUE(r.divergence.checkpoint_used) << r.format();
-    EXPECT_GT(r.divergence.checkpoint_cycle, 0u);
-    EXPECT_LE(r.divergence.checkpoint_cycle,
-              r.divergence.window_index * win);
-    // All four host modes agree on the first divergent cycle.
-    static u64 agreed = 0;
-    if (agreed == 0) agreed = r.divergence.cycle;
-    EXPECT_EQ(r.divergence.cycle, agreed);
+    const u64 want = first_divergent_cycle(
+        recorded, fingerprint_run(in_host_mode(mutated, m), scenario));
+    ASSERT_NE(want, 0u);
+    EXPECT_EQ(r.divergence.cycle, want) << "tier=" << m.tier << " ff=" << m.ff;
+  }
+}
+
+// A session golden carries the MCDS instrumentation; the ED is
+// non-intrusive, so its frames are those of a plain golden of the same
+// scenario, and the bisection must report the same first divergence from
+// either one in every host mode.
+TEST(ReplayBisect, SessionGoldenBisectsLikePlainGolden) {
+  replay::ScenarioSpec scenario;
+  scenario.kind = "engine";
+  scenario.engine = idle_lmu_engine_options();
+  scenario.run_cycles = 24'000;
+  const soc::SocConfig cfg;
+  profiling::SessionOptions options;
+  options.program_trace = true;
+  options.irq_trace = true;
+  options.dag = true;
+  const replay::ReplaySpec session =
+      record_session(cfg, scenario, options, 10);
+  const replay::ReplaySpec plain = record_plain(cfg, scenario, 10);
+  ASSERT_TRUE(session.scenario.session.enabled);
+  EXPECT_EQ(session.digests.stream, plain.digests.stream);
+  EXPECT_EQ(session.digests.total_frames, plain.digests.total_frames);
+  EXPECT_GT(session.digests.mcds_messages, 0u);
+
+  // As recorded, the session golden replays bit-identically, MCDS and
+  // DAG digests included.
+  auto honest = replay::run_replay(session);
+  ASSERT_TRUE(honest.is_ok()) << honest.status().to_string();
+  EXPECT_TRUE(honest.value().passed) << honest.value().format();
+
+  for (const HostMode& m : kHostModes) {
+    replay::OracleOptions opts;
+    opts.exec_tier = m.tier;
+    opts.fast_forward = m.ff;
+    opts.mutations.emplace_back("lmu_latency", 12);
+    auto s_run = replay::run_replay(session, opts);
+    auto p_run = replay::run_replay(plain, opts);
+    ASSERT_TRUE(s_run.is_ok()) << s_run.status().to_string();
+    ASSERT_TRUE(p_run.is_ok()) << p_run.status().to_string();
+    const replay::Divergence& sd = s_run.value().divergence;
+    const replay::Divergence& pd = p_run.value().divergence;
+    ASSERT_FALSE(s_run.value().passed) << "tier=" << m.tier << " ff=" << m.ff;
+    ASSERT_EQ(sd.kind, "frame") << s_run.value().format();
+    ASSERT_EQ(pd.kind, "frame") << p_run.value().format();
+    EXPECT_EQ(sd.cycle, pd.cycle) << "tier=" << m.tier << " ff=" << m.ff;
+    EXPECT_EQ(sd.window_index, pd.window_index);
+    ASSERT_EQ(sd.fields.size(), pd.fields.size());
+    ASSERT_FALSE(sd.fields.empty());
+    for (usize i = 0; i < sd.fields.size(); ++i) {
+      EXPECT_EQ(sd.fields[i].component, pd.fields[i].component) << i;
+      EXPECT_EQ(sd.fields[i].field, pd.fields[i].field) << i;
+      EXPECT_EQ(sd.fields[i].expected, pd.fields[i].expected) << i;
+      EXPECT_EQ(sd.fields[i].actual, pd.fields[i].actual) << i;
+    }
   }
 }
 

@@ -3,9 +3,9 @@
 // --record or audo-faultcamp --record), reconstructs the scenario from
 // the JSON alone, re-runs it under any host configuration and verifies
 // every recorded digest. On mismatch it bisects to the first divergent
-// window — restoring a quiescent soc::Snapshot checkpoint when one is
-// available — re-steps it frame by frame and reports the first divergent
-// cycle with per-field diffs and surrounding context.
+// window, re-steps the recorded and the replayed config cold from reset
+// to that window's end, compares them frame by frame and reports the
+// first divergent cycle with per-field diffs and surrounding context.
 //
 //   audo-replay golden.json [options]
 //     --exec-tier T        re-run under 'accurate' or 'superblock'

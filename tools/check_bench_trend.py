@@ -25,6 +25,15 @@ deliberately generous:
     as does the superblock tier's speedup dropping below
     --min-dense-speedup (default 3.0).
 
+Absolute numbers only compare on the host they were measured on. The
+banded cycles/second checks and the per-tier ns/cycle ceiling therefore
+run only when the fresh artifact's `host` block (core count, CPU model,
+compiler, build type) equals the baseline's; otherwise each is reported
+as "no comparable baseline" with the first differing host field. The
+identity checks, the exact counters and the ratios measured within one
+run (fast-forward and warm-fork speedups, the tier speedup floor) run on
+every host.
+
 Usage:
   tools/check_bench_trend.py fresh.json [--baseline BENCH_throughput.json]
       [--tolerance 0.5]
@@ -40,12 +49,31 @@ def fail(msg):
     return False
 
 
+def host_mismatch(fresh, base):
+    """Why absolute numbers can't be compared, or None on a matching host."""
+    fh, bh = fresh.get("host", {}), base.get("host", {})
+    for field in sorted(set(fh) | set(bh)):
+        if fh.get(field) != bh.get(field):
+            return "host.%s '%s' vs '%s'" % (
+                field, fh.get(field, "(missing)"), bh.get(field, "(missing)"))
+    if not fh:
+        return "host block missing from both artifacts"
+    return None
+
+
 def check(fresh, base, tolerance, dense_tolerance, min_dense_speedup):
     ok = True
     for name, doc in (("fresh", fresh), ("baseline", base)):
         if doc.get("schema") != "trisim-bench-throughput/1":
             ok = fail("%s artifact has schema %r" % (name, doc.get("schema")))
     if not ok:
+        return False
+    mismatch = host_mismatch(fresh, base)
+
+    def comparable(name):
+        if mismatch is None:
+            return True
+        print("  %-42s no comparable baseline: %s" % (name, mismatch))
         return False
 
     # Hard: bit-identity never regresses, on any host.
@@ -72,28 +100,30 @@ def check(fresh, base, tolerance, dense_tolerance, min_dense_speedup):
                   % (base["single_run"]["cycles"],
                      fresh["single_run"]["cycles"]))
 
-    # Banded: throughput may wobble with the host, not collapse.
+    # Banded: throughput may wobble with the host, not collapse. The
+    # speedups are ratios within one run; the rest are absolute rates
+    # (`absolute` True) and need a matching host.
     banded = [
-        ("single_run.cycles_per_second",
+        ("single_run.cycles_per_second", True,
          fresh["single_run"]["cycles_per_second"],
          base["single_run"]["cycles_per_second"]),
-        ("fast_forward.speedup",
+        ("fast_forward.speedup", False,
          fresh["fast_forward"]["speedup"],
          base["fast_forward"]["speedup"]),
-        ("single_run.dag_observer_cycles_per_second",
+        ("single_run.dag_observer_cycles_per_second", True,
          fresh["single_run"].get("dag_observer_cycles_per_second", 0),
          base["single_run"].get("dag_observer_cycles_per_second", 0)),
-        ("warm_fork.speedup",
+        ("warm_fork.speedup", False,
          fresh.get("warm_fork", {}).get("speedup", 0),
          base.get("warm_fork", {}).get("speedup", 0)),
-        ("campaign_scaling.campaign_scenarios_per_sec",
+        ("campaign_scaling.campaign_scenarios_per_sec", True,
          fresh.get("campaign_scaling", {}).get("campaign_scenarios_per_sec",
                                                0),
          base.get("campaign_scaling", {}).get("campaign_scenarios_per_sec",
                                               0)),
     ]
-    for name, fv, bv in banded:
-        if bv <= 0:
+    for name, absolute, fv, bv in banded:
+        if bv <= 0 or (absolute and not comparable(name)):
             continue
         ratio = fv / bv
         status = "ok" if ratio >= tolerance else "REGRESSED"
@@ -113,7 +143,7 @@ def check(fresh, base, tolerance, dense_tolerance, min_dense_speedup):
             ok = fail("superblock tier diverged from the accurate stepper")
         for key in ("accurate_ns_per_cycle", "superblock_ns_per_cycle"):
             fv, bv = ft.get(key, 0.0), bt.get(key, 0.0)
-            if bv <= 0 or fv <= 0:
+            if bv <= 0 or fv <= 0 or not comparable("exec_tiers." + key):
                 continue
             ratio = fv / bv  # ns/cycle: higher is worse
             status = "ok" if ratio <= dense_tolerance else "REGRESSED"
